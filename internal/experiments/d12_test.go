@@ -21,11 +21,22 @@ func d12TestTraffic() workload.Traffic {
 	return tr
 }
 
+// d12Pins are the FNV-64 hashes of each style's rendered row in
+// TestD12Deterministic. A consistent behaviour change passes the run-twice
+// comparison; these pins catch it.
+var d12Pins = map[string]uint64{
+	"fbl f=2 nonblocking": 0xc61ea9db640d41a3,
+	"coordinated":         0x26326e89e2ecd9b9,
+	"optimistic":          0x7ce414b585229397,
+}
+
 // TestD12Deterministic runs the failure-free style trio twice at a short
 // horizon and demands identical tables: the open-loop engine must be a
-// pure function of (seed, spec).
+// pure function of (seed, spec). Each style's row must also hash to its
+// pinned value.
 func TestD12Deterministic(t *testing.T) {
 	tr := d12TestTraffic()
+	rows := map[string]string{}
 	render := func() string {
 		var out string
 		for _, row := range d12Rows(context.Background(), 1, tr, 0, 6*time.Second) {
@@ -38,14 +49,24 @@ func TestD12Deterministic(t *testing.T) {
 			if r.eng.Offered() == 0 {
 				t.Errorf("%s: engine offered nothing", row.style)
 			}
-			out += fmt.Sprintf("%s %d %d %d %v %v %v\n",
+			line := fmt.Sprintf("%s %d %d %d %v %v %v\n",
 				row.style, r.eng.Offered(), r.eng.Shed(), cl.Committed, cl.P50, cl.P99, cl.P999)
+			rows[row.style] = line
+			out += line
 		}
 		return out
 	}
 	a, b := render(), render()
 	if a != b {
 		t.Fatalf("two identical D12 runs disagree:\n--- first\n%s--- second\n%s", a, b)
+	}
+	for style, want := range d12Pins {
+		if got := fnv64([]byte(rows[style])); got != want {
+			t.Errorf("%s: row %q hashes to %#x, pinned %#x", style, rows[style], got, want)
+		}
+	}
+	if len(rows) != len(d12Pins) {
+		t.Errorf("%d styles rendered, %d pinned", len(rows), len(d12Pins))
 	}
 }
 

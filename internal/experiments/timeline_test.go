@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -104,8 +105,25 @@ func TestD11TimelineBacklogShape(t *testing.T) {
 	}
 }
 
+// fnv64 is the FNV-1a 64-bit hash the determinism pins are expressed in.
+func fnv64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// d11TimelinePins are the FNV-64 hashes of each style's JSON and CSV
+// export of the short crash cell. A consistent behaviour change passes the
+// run-twice comparison below; these pins catch it.
+var d11TimelinePins = map[string][2]uint64{
+	"fbl":         {0x3ca1db7eefaef955, 0x49a0ed6a506c6d42},
+	"coordinated": {0xa69474854795a3d4, 0xaffeee7e566510b7},
+	"optimistic":  {0x87db410ad9a9050d, 0xd6e93c8f08f5028b},
+}
+
 // TestD11TimelinesDeterministic: two invocations of the sampled cells must
-// export byte-identical JSON and CSV for every style.
+// export byte-identical JSON and CSV for every style, and those bytes must
+// hash to the pinned values.
 func TestD11TimelinesDeterministic(t *testing.T) {
 	render := func() map[string][2][]byte {
 		out := map[string][2][]byte{}
@@ -130,6 +148,13 @@ func TestD11TimelinesDeterministic(t *testing.T) {
 		if !bytes.Equal(fa[1], fb[1]) {
 			t.Errorf("%s: CSV exports differ across identical runs", style)
 		}
+		got := [2]uint64{fnv64(fa[0]), fnv64(fa[1])}
+		if want := d11TimelinePins[style]; got != want {
+			t.Errorf("%s: export hashes (json, csv) = %#x, pinned %#x", style, got, want)
+		}
+	}
+	if len(a) != len(d11TimelinePins) {
+		t.Errorf("%d styles exported, %d pinned", len(a), len(d11TimelinePins))
 	}
 }
 

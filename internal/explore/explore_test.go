@@ -21,15 +21,19 @@ func testSpec(fam Family, style recovery.Style) Spec {
 // full invariant catalog, for all three protocol families (and all three
 // FBL recovery styles).
 func TestExploreCleanAllFamilies(t *testing.T) {
+	// fingerprint pins each exploration's fold over every branch: the
+	// report is a pure function of the spec, so a consistent behaviour
+	// change would pass the double-run gate but not these.
 	cases := []struct {
-		name string
-		spec Spec
+		name        string
+		spec        Spec
+		fingerprint uint64
 	}{
-		{"fbl-nonblocking", testSpec(FamilyFBL, recovery.NonBlocking)},
-		{"fbl-blocking", testSpec(FamilyFBL, recovery.Blocking)},
-		{"fbl-manetho", testSpec(FamilyFBL, recovery.Manetho)},
-		{"coordinated", testSpec(FamilyCoordinated, 0)},
-		{"optimistic", testSpec(FamilyOptimistic, 0)},
+		{"fbl-nonblocking", testSpec(FamilyFBL, recovery.NonBlocking), 0x0b90f841f9b88d5b},
+		{"fbl-blocking", testSpec(FamilyFBL, recovery.Blocking), 0x0b90f841f9b88d5b},
+		{"fbl-manetho", testSpec(FamilyFBL, recovery.Manetho), 0x887b2b8bf0a25265},
+		{"coordinated", testSpec(FamilyCoordinated, 0), 0x928c53813331122e},
+		{"optimistic", testSpec(FamilyOptimistic, 0), 0xf6a789b828866f31},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -53,6 +57,9 @@ func TestExploreCleanAllFamilies(t *testing.T) {
 			}
 			t.Logf("%s: %d points, %d branches, baseline %d events, fingerprint %#x",
 				tc.name, rep.Points, rep.Branches, rep.BaselineEvents, rep.Fingerprint)
+			if rep.Fingerprint != tc.fingerprint {
+				t.Errorf("fingerprint %#x, pinned %#x", rep.Fingerprint, tc.fingerprint)
+			}
 		})
 	}
 }
