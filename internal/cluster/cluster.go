@@ -1,7 +1,11 @@
-// Package cluster wires n FBL protocol processes, their workload, a crash
-// plan, and a runtime together, and checks the cross-process correctness
-// invariants the paper's proofs promise (§4): safety (no orphans),
-// liveness (every recovery completes), and exactly-once delivery.
+// Package cluster wires n protocol processes of one recovery family, their
+// workload, a crash plan, and a runtime together, and checks the end-state
+// invariants. The family is the paper's FBL logging (Family FamilyFBL, the
+// default) or one of the two designs it is compared against: coordinated
+// checkpointing and optimistic logging. For FBL the checks are the
+// cross-process invariants the paper's proofs promise (§4): safety (no
+// orphans), liveness (every recovery completes), and exactly-once
+// delivery; the comparator families get a liveness check.
 package cluster
 
 import (
@@ -11,11 +15,13 @@ import (
 	"sync"
 	"time"
 
+	"rollrec/internal/coord"
 	"rollrec/internal/failure"
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
+	"rollrec/internal/optimistic"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
@@ -24,8 +30,26 @@ import (
 	"rollrec/internal/workload"
 )
 
+// Family selects the recovery protocol family a cluster hosts.
+type Family string
+
+const (
+	// FamilyFBL is the paper's family-based message logging (internal/fbl)
+	// under any of its recovery styles. The zero Family selects it.
+	FamilyFBL Family = "fbl"
+	// FamilyCoordinated is Chandy–Lamport coordinated checkpointing with
+	// global rollback (internal/coord).
+	FamilyCoordinated Family = "coordinated"
+	// FamilyOptimistic is optimistic message logging with asynchronous
+	// receiver-side logs (internal/optimistic).
+	FamilyOptimistic Family = "optimistic"
+)
+
 // Config describes a simulated cluster.
 type Config struct {
+	// Family selects the protocol family (zero: FamilyFBL). F, Style and
+	// Fanout only apply to FBL.
+	Family Family
 	// N is the number of application processes (2..MaxProcs).
 	N int
 	// F is the failure budget; F >= N selects the f = n instance.
@@ -38,9 +62,13 @@ type Config struct {
 	Style recovery.Style
 	// App builds each process's application.
 	App workload.Factory
-	// CheckpointEvery is the periodic checkpoint interval.
+	// CheckpointEvery is the family's periodic commit: the FBL checkpoint
+	// interval, the coordinated snapshot period, or the optimistic
+	// log-flush period. The optimistic family's retransmission retry
+	// period is derived from HW instead: 4 heartbeat periods.
 	CheckpointEvery time.Duration
-	// StatePad models the process image size (bytes added per checkpoint).
+	// StatePad models the process image size (bytes added per checkpoint,
+	// snapshot, or optimistic log flush).
 	StatePad int
 	// Trace, if non-nil, receives event trace lines.
 	Trace io.Writer
@@ -110,14 +138,35 @@ type Cluster struct {
 	// removes the reasoning burden.
 	mu sync.Mutex
 
-	// Harness-side timelines (survive crashes; truncated on OnLive).
+	// Harness-side timelines of the FBL family (survive crashes; truncated
+	// on OnLive).
 	sends      []map[ids.SSN]sendInfo    // per sender: ssn → send record
 	deliveries []map[ids.RSN]deliverInfo // per receiver: rsn → delivery
 	seen       []map[ids.MsgID]ids.RSN   // per receiver: fast duplicate check
 	violations []string
-	crashes    int
 	liveAgain  int
+
+	// The latest virtual instant and the step boundary past which every
+	// scheduled crash has fired (see Settled).
+	crashAtEnd   time.Duration
+	crashStepEnd int64
+
+	// Rollback accounting of the comparator families (see Lost, Orphans).
+	lost     int64
+	orphaned []bool
 }
+
+// host is what every family's process exposes to the harness.
+type host interface {
+	App() workload.App
+	Inject(payload []byte) bool
+}
+
+var (
+	_ host = (*fbl.Process)(nil)
+	_ host = (*coord.Process)(nil)
+	_ host = (*optimistic.Process)(nil)
+)
 
 // New builds and boots a cluster.
 func New(cfg Config) *Cluster {
@@ -130,17 +179,10 @@ func New(cfg Config) *Cluster {
 	if cfg.HW == (node.Hardware{}) {
 		cfg.HW = node.Profile1995()
 	}
-	c := &Cluster{
-		cfg:        cfg,
-		sends:      make([]map[ids.SSN]sendInfo, cfg.N),
-		deliveries: make([]map[ids.RSN]deliverInfo, cfg.N),
-		seen:       make([]map[ids.MsgID]ids.RSN, cfg.N),
+	if cfg.Family == "" {
+		cfg.Family = FamilyFBL
 	}
-	for i := 0; i < cfg.N; i++ {
-		c.sends[i] = make(map[ids.SSN]sendInfo)
-		c.deliveries[i] = make(map[ids.RSN]deliverInfo)
-		c.seen[i] = make(map[ids.MsgID]ids.RSN)
-	}
+	c := &Cluster{cfg: cfg}
 
 	simCfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Trace: cfg.Trace, Tracer: cfg.Tracer}
 	if cfg.Shards > 0 {
@@ -156,31 +198,68 @@ func New(cfg Config) *Cluster {
 		c.K = sim.New(simCfg)
 	}
 	c.outs = output.NewLedger(cfg.N)
-	par := fbl.Params{
-		N:               cfg.N,
-		F:               cfg.F,
-		Fanout:          cfg.Fanout,
-		App:             workload.Seeded(cfg.App, cfg.Seed),
-		Style:           cfg.Style,
-		CheckpointEvery: cfg.CheckpointEvery,
-		StatePad:        cfg.StatePad,
-		HeartbeatEvery:  cfg.HW.HeartbeatEvery,
-		SuspectAfter:    cfg.HW.SuspectAfter,
-		Hooks: fbl.Hooks{
-			OnSend:    c.onSend,
-			OnDeliver: c.onDeliver,
-			OnLive:    c.onLive,
-		},
-	}
+	var outs output.Sink
 	if cfg.TrackOutputs {
 		c.outs.SetTracer(trace.OrNop(cfg.Tracer))
 		c.outs.SetMetrics(c.K.Metrics)
-		par.Outputs = c.outs
+		outs = c.outs
+	}
+	app := workload.Seeded(cfg.App, cfg.Seed)
+	var factory node.Factory
+	switch cfg.Family {
+	case FamilyFBL:
+		c.sends = make([]map[ids.SSN]sendInfo, cfg.N)
+		c.deliveries = make([]map[ids.RSN]deliverInfo, cfg.N)
+		c.seen = make([]map[ids.MsgID]ids.RSN, cfg.N)
+		for i := 0; i < cfg.N; i++ {
+			c.sends[i] = make(map[ids.SSN]sendInfo)
+			c.deliveries[i] = make(map[ids.RSN]deliverInfo)
+			c.seen[i] = make(map[ids.MsgID]ids.RSN)
+		}
+		factory = fbl.New(fbl.Params{
+			N:               cfg.N,
+			F:               cfg.F,
+			Fanout:          cfg.Fanout,
+			App:             app,
+			Style:           cfg.Style,
+			CheckpointEvery: cfg.CheckpointEvery,
+			StatePad:        cfg.StatePad,
+			HeartbeatEvery:  cfg.HW.HeartbeatEvery,
+			SuspectAfter:    cfg.HW.SuspectAfter,
+			Outputs:         outs,
+			Hooks: fbl.Hooks{
+				OnSend:    c.onSend,
+				OnDeliver: c.onDeliver,
+				OnLive:    c.onLive,
+			},
+		})
+	case FamilyCoordinated:
+		factory = coord.New(coord.Params{
+			N:             cfg.N,
+			App:           app,
+			SnapshotEvery: cfg.CheckpointEvery,
+			StatePad:      cfg.StatePad,
+			Outputs:       outs,
+			Hooks:         coord.Hooks{OnRollback: c.onRollback},
+		})
+	case FamilyOptimistic:
+		c.orphaned = make([]bool, cfg.N)
+		factory = optimistic.New(optimistic.Params{
+			N:          cfg.N,
+			App:        app,
+			FlushEvery: cfg.CheckpointEvery,
+			StatePad:   cfg.StatePad,
+			RetryEvery: 4 * cfg.HW.HeartbeatEvery,
+			Outputs:    outs,
+			Hooks:      optimistic.Hooks{OnOrphan: c.onOrphan},
+		})
+	default:
+		panic(fmt.Sprintf("cluster: unknown family %q", cfg.Family))
 	}
 	for i := 0; i < cfg.N; i++ {
-		c.K.AddNode(ids.ProcID(i), fbl.New(par))
+		c.K.AddNode(ids.ProcID(i), factory)
 	}
-	if cfg.F >= cfg.N {
+	if cfg.Family == FamilyFBL && cfg.F >= cfg.N {
 		c.K.AddNode(ids.StorageProc, fbl.NewStorageNode(cfg.N, cfg.F))
 	}
 	c.K.Boot()
@@ -254,6 +333,43 @@ func (c *Cluster) onLive(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn 
 	}
 }
 
+// onRollback counts the deliveries a coordinated rollback discarded, at
+// the victim and at every live process alike.
+func (c *Cluster) onRollback(_ ids.ProcID, _ uint32, lost int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lost += lost
+}
+
+// onOrphan records a live process that an optimistic-logging failure
+// turned into an orphan; the failed process itself is not an orphan.
+func (c *Cluster) onOrphan(self, victim ids.ProcID, lost int64) {
+	if self == victim {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.orphaned[self] = true
+	c.lost += lost
+}
+
+// Lost returns how many deliveries the run's rollbacks discarded: every
+// process's abandoned suffix under coordinated checkpointing, the orphans'
+// under optimistic logging. FBL rolls back no survivor, so it reports 0.
+func (c *Cluster) Lost() int64 { return c.lost }
+
+// Orphans returns how many processes an optimistic-logging run rolled back
+// as orphans of another process's failure (0 for the other families).
+func (c *Cluster) Orphans() int {
+	n := 0
+	for _, o := range c.orphaned {
+		if o {
+			n++
+		}
+	}
+	return n
+}
+
 // AttachTimeline binds col's probes to this cluster and installs its
 // sampler on the kernel. The sampler fires from inside the run loop at
 // virtual-time boundaries without enqueueing events, so attaching a
@@ -281,14 +397,21 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 				g.Backlog = c.outs.OpenOf(id)
 				g.OldestOpen = c.outs.OldestOpenOf(id)
 			}
-			p := c.Proc(id)
-			if p == nil {
+			switch p := c.K.ProcOf(id).(type) {
+			case *fbl.Process:
+				g.Phase = fblPhase(p)
+				g.Journal = p.DetLogLen()
+				g.Lag = p.DetPending()
+			case *coord.Process:
+				g.Phase = rollbackPhase(p.Recovering())
+			case *optimistic.Process:
+				g.Phase = rollbackPhase(p.Rolling())
+				total, durable := p.LogSizes()
+				g.Journal, g.Lag = total, total-durable
+			default:
 				return g
 			}
-			g.Phase = fblPhase(p)
-			g.Journal = p.DetLogLen()
-			g.Lag = p.DetPending()
-			if a, ok := p.App().(interface{ InflightReqs() int }); ok {
+			if a, ok := c.App(id).(interface{ InflightReqs() int }); ok {
 				g.Inflight = a.InflightReqs()
 			}
 			return g
@@ -321,6 +444,15 @@ func fblPhase(p *fbl.Process) timeline.Phase {
 	}
 }
 
+// rollbackPhase maps a comparator-family process onto the timeline phase
+// alphabet: it is either rolling back or live.
+func rollbackPhase(rolling bool) timeline.Phase {
+	if rolling {
+		return timeline.PhaseRecovering
+	}
+	return timeline.PhaseLive
+}
+
 // Run advances virtual time to the given instant since start.
 func (c *Cluster) Run(until time.Duration) { c.K.Run(until) }
 
@@ -335,7 +467,9 @@ func (c *Cluster) RunContext(ctx context.Context, until time.Duration) (int64, e
 
 // Crash schedules a crash of process p at virtual time at.
 func (c *Cluster) Crash(at time.Duration, p ids.ProcID) {
-	c.crashes++
+	if at > c.crashAtEnd {
+		c.crashAtEnd = at
+	}
 	c.K.CrashAt(at, p)
 }
 
@@ -347,7 +481,9 @@ func (c *Cluster) CrashAtStep(step int64, p ids.ProcID) {
 	if k == nil {
 		panic("cluster: CrashAtStep requires the classic (non-sharded) kernel")
 	}
-	c.crashes++
+	if step >= c.crashStepEnd {
+		c.crashStepEnd = step + 1
+	}
 	k.CrashAtStep(step, p)
 }
 
@@ -371,22 +507,23 @@ func (c *Cluster) Kernel() *sim.Kernel {
 	return k
 }
 
-// LiveAgain returns how many completed recoveries the cluster observed —
-// the counter Check's liveness clause compares against effective crash
+// LiveAgain returns how many completed FBL recoveries the cluster observed
+// — the counter Check's liveness clause compares against effective crash
 // injections.
 func (c *Cluster) LiveAgain() int { return c.liveAgain }
 
-// Inject offers an open-loop arrival to process p's application (see
-// fbl.Process.Inject). It reports whether the arrival was admitted; a
-// down, blocked, or recovering process sheds. Injections are only
-// replay-sound on processes that never crash — keep injected processes
-// out of the crash plan (the orphan check catches violations).
+// Inject offers an open-loop arrival to process p's application (see the
+// families' Process.Inject). It reports whether the arrival was admitted;
+// a down, blocked, or recovering process sheds. Under FBL, injections are
+// only replay-sound on processes that never crash — keep injected
+// processes out of the crash plan (the orphan check catches violations).
 func (c *Cluster) Inject(p ids.ProcID, payload []byte) bool {
-	pr := c.Proc(p)
-	return pr != nil && pr.Inject(payload)
+	h, ok := c.K.ProcOf(p).(host)
+	return ok && h.Inject(payload)
 }
 
-// Proc returns the protocol instance at p, or nil while p is down.
+// Proc returns the FBL protocol instance at p, or nil while p is down or
+// when the cluster hosts another family.
 func (c *Cluster) Proc(p ids.ProcID) *fbl.Process {
 	if pr, ok := c.K.ProcOf(p).(*fbl.Process); ok {
 		return pr
@@ -402,8 +539,8 @@ func (c *Cluster) Outputs() *output.Ledger { return c.outs }
 
 // App returns the application hosted at p (nil while down).
 func (c *Cluster) App(p ids.ProcID) workload.App {
-	if pr := c.Proc(p); pr != nil {
-		return pr.App()
+	if h, ok := c.K.ProcOf(p).(host); ok {
+		return h.App()
 	}
 	return nil
 }
@@ -421,9 +558,20 @@ func (c *Cluster) AllDone() bool {
 }
 
 // Settled reports whether the workload finished AND every scheduled crash
-// has completed its recovery.
+// has fired and its recovery completed. A crash of a process that is
+// already down is a kernel no-op, so FBL compares completed recoveries
+// against the crashes applied (as Check does), not against the plan.
 func (c *Cluster) Settled() bool {
-	return c.AllDone() && c.liveAgain >= c.crashes
+	if !c.AllDone() || c.K.Now() < int64(c.crashAtEnd) {
+		return false
+	}
+	if k := c.Kernel(); k != nil && k.Steps() < c.crashStepEnd {
+		return false
+	}
+	if c.cfg.Family == FamilyFBL {
+		return c.liveAgain >= c.K.CrashesApplied()
+	}
+	return len(c.rollbackLiveness()) == 0
 }
 
 // RunUntilDone advances time in steps until the cluster is settled (see
@@ -444,6 +592,9 @@ func (c *Cluster) Check() []error {
 	var errs []error
 	for _, v := range c.violations {
 		errs = append(errs, fmt.Errorf("%s", v))
+	}
+	if c.cfg.Family != FamilyFBL {
+		return append(errs, c.rollbackLiveness()...)
 	}
 
 	// Liveness (§4.2/§4.4): every crashed process must be live again. The
@@ -498,6 +649,32 @@ func (c *Cluster) Check() []error {
 				errs = append(errs, fmt.Errorf(
 					"intrusion: nonblocking style blocked %v for %v", ids.ProcID(i), b))
 			}
+		}
+	}
+	return errs
+}
+
+// rollbackLiveness is the comparator families' end-state check: at the
+// horizon every process must be up, done rolling back, and finished with
+// its workload.
+func (c *Cluster) rollbackLiveness() []error {
+	var errs []error
+	for i := 0; i < c.cfg.N; i++ {
+		switch p := c.K.ProcOf(ids.ProcID(i)).(type) {
+		case *coord.Process:
+			if p.Recovering() {
+				errs = append(errs, fmt.Errorf("liveness: proc %d still recovering at horizon", i))
+			}
+		case *optimistic.Process:
+			if p.Rolling() {
+				errs = append(errs, fmt.Errorf("liveness: proc %d still rolling back at horizon", i))
+			}
+		default:
+			errs = append(errs, fmt.Errorf("liveness: proc %d still down at horizon", i))
+			continue
+		}
+		if !c.App(ids.ProcID(i)).Done() {
+			errs = append(errs, fmt.Errorf("liveness: proc %d workload incomplete at horizon", i))
 		}
 	}
 	return errs

@@ -180,3 +180,50 @@ func TestBlockingStyleBlocksLives(t *testing.T) {
 	}
 	mustCheck(t, c2)
 }
+
+// TestSettledAfterRedundantCrash: a plan that crashes a process again while
+// it is still down schedules two crashes, but the kernel applies only one.
+// Once both have fired, Settled must compare recoveries against the crash
+// applied, as Check does, rather than against the plan length.
+func TestSettledAfterRedundantCrash(t *testing.T) {
+	c := New(ringConfig(recovery.NonBlocking, 1))
+	c.Crash(300*time.Millisecond, 1)
+	c.Crash(310*time.Millisecond, 1)
+	if !c.RunUntilDone(time.Second, 60*time.Second) {
+		t.Fatalf("never settled: done=%v applied=%d recovered=%d",
+			c.AllDone(), c.K.CrashesApplied(), c.LiveAgain())
+	}
+	if got := c.K.CrashesApplied(); got != 1 {
+		t.Fatalf("%d crashes applied, want 1", got)
+	}
+	mustCheck(t, c)
+}
+
+// TestComparatorFamilies runs the token ring under coordinated
+// checkpointing and optimistic logging with one crash: each run settles,
+// passes its family's check, and ends in the crash-free state.
+func TestComparatorFamilies(t *testing.T) {
+	for _, fam := range []Family{FamilyCoordinated, FamilyOptimistic} {
+		cfg := ringConfig(recovery.NonBlocking, 1)
+		cfg.Family = fam
+		golden := New(cfg)
+		if !golden.RunUntilDone(time.Second, 60*time.Second) {
+			t.Fatalf("%s: golden run did not settle", fam)
+		}
+		c := New(cfg)
+		c.Crash(300*time.Millisecond, 1)
+		if !c.RunUntilDone(time.Second, 60*time.Second) {
+			t.Fatalf("%s: crash run did not settle", fam)
+		}
+		mustCheck(t, c)
+		want, got := golden.Digests(), c.Digests()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: proc %d digest %#x, crash-free %#x", fam, i, got[i], want[i])
+			}
+		}
+		if c.Proc(0) != nil {
+			t.Errorf("%s: Proc returned an FBL instance", fam)
+		}
+	}
+}

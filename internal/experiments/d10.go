@@ -4,13 +4,11 @@ import (
 	"context"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
-	"rollrec/internal/optimistic"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
 	"rollrec/internal/wire"
-	"rollrec/internal/workload"
 )
 
 // D10 puts the paper's §6 taxonomy on one table: optimistic logging is
@@ -48,58 +46,14 @@ func D10(ctx context.Context, seed int64) Table {
 	t.AddRow("fbl (f=2) + nonblocking", 0, 0,
 		float64(piggyBytes)/float64(appMsgs), r.Victim(3).Total())
 
-	// Optimistic logging with asynchronous receiver-side logs.
-	o := runOptimistic(ctx, seed, spec.Horizon)
+	// Optimistic logging with asynchronous receiver-side logs. Its
+	// failure-free dependency-tracking cost is the dv piggyback: a fixed
+	// (8B index + 4B epoch) per process per message.
+	o := runRow(ctx, comparator(spec, cluster.FamilyOptimistic))
 	if ctx.Err() != nil {
 		return t
 	}
-	t.AddRow("optimistic (Strom–Yemini style)", o.orphans, o.lost,
-		o.dvBytesPerMsg, o.victimRecovery)
+	t.AddRow("optimistic (Strom–Yemini style)", o.C.Orphans(), o.C.Lost(),
+		float64(12*spec.N), o.Victim(3).Total())
 	return t
-}
-
-type optimisticResult struct {
-	orphans        int
-	lost           int64
-	dvBytesPerMsg  float64
-	victimRecovery time.Duration
-}
-
-func runOptimistic(ctx context.Context, seed int64, horizon time.Duration) optimisticResult {
-	const n = 8
-	spec := PaperSpec(recovery.NonBlocking, seed)
-	k := sim.New(sim.Config{Seed: seed, HW: spec.HW})
-	var out optimisticResult
-	orphaned := map[ids.ProcID]bool{}
-	par := optimistic.Params{
-		N:          n,
-		App:        workload.Seeded(spec.App, seed),
-		FlushEvery: 500 * time.Millisecond,
-		StatePad:   4 << 10,
-		Hooks: optimistic.Hooks{
-			OnOrphan: func(p, _ ids.ProcID, lost int64) {
-				if p != 3 { // the victim itself is not an orphan
-					orphaned[p] = true
-					out.lost += lost
-				}
-			},
-		},
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	k.CrashAt(10*time.Second, 3)
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return optimisticResult{}
-	}
-
-	out.orphans = len(orphaned)
-	if tr := k.Metrics(3).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-		out.victimRecovery = time.Duration(tr.ReplayedAt - tr.CrashedAt)
-	}
-	// The failure-free dependency-tracking cost: the dv piggyback is a
-	// fixed (8B index + 4B epoch) per process per message.
-	out.dvBytesPerMsg = float64(12 * n)
-	return out
 }

@@ -6,15 +6,12 @@ import (
 	"sort"
 	"time"
 
-	"rollrec/internal/coord"
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
-	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
-	"rollrec/internal/optimistic"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
 	"rollrec/internal/timeline"
 	"rollrec/internal/workload"
 )
@@ -86,17 +83,16 @@ type d11Row struct {
 // FBL row only earns its place in the failure-free block (it isolates the
 // no-holder-feedback case); the failure block keeps to one run per style.
 func d11Rows(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, withF1 bool) []d11Row {
-	rows := []d11Row{
-		{"fbl f=2 nonblocking", func() d11Run { return d11FBL(ctx, seed, hw, 2, crashAt, horizon, nil) }},
+	row := func(style string, fam cluster.Family, f int) d11Row {
+		return d11Row{style, func() d11Run { return d11Cell(ctx, seed, hw, fam, f, crashAt, horizon, nil) }}
 	}
+	rows := []d11Row{row("fbl f=2 nonblocking", cluster.FamilyFBL, 2)}
 	if withF1 {
-		rows = append(rows, d11Row{
-			"fbl f=1 nonblocking", func() d11Run { return d11FBL(ctx, seed, hw, 1, crashAt, horizon, nil) }})
+		rows = append(rows, row("fbl f=1 nonblocking", cluster.FamilyFBL, 1))
 	}
 	return append(rows,
-		d11Row{"coordinated", func() d11Run { return d11Coord(ctx, seed, hw, crashAt, horizon, nil) }},
-		d11Row{"optimistic", func() d11Run { return d11Optimistic(ctx, seed, hw, crashAt, horizon, nil) }},
-	)
+		row("coordinated", cluster.FamilyCoordinated, 2),
+		row("optimistic", cluster.FamilyOptimistic, 2))
 }
 
 // d11App is the shared workload: every client pipelines requests at the
@@ -154,11 +150,13 @@ func d11StraddleNote(style string, r d11Run, crashAt time.Duration) string {
 		style, len(str), released, metrics.FmtDuration(first), metrics.FmtDuration(r.recoveryEnd))
 }
 
-// d11FBL runs the paper's protocol through the full cluster harness (the
-// ledger is wired by internal/cluster) and reads the run's ledger back.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11FBL(ctx context.Context, seed int64, hw node.Hardware, f int, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	spec := PaperSpec(recovery.NonBlocking, seed)
+// d11Cell runs the D11 client–server cell under one protocol family
+// through the cluster harness (which wires the ledger) and reads the run's
+// ledger back. f is FBL's failure budget. col, if non-nil, samples the run
+// (see D11Timelines).
+func d11Cell(ctx context.Context, seed int64, hw node.Hardware, fam cluster.Family, f int,
+	crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
+	spec := comparator(PaperSpec(recovery.NonBlocking, seed), fam)
 	spec.HW = hw
 	spec.F = f
 	spec.App = d11App()
@@ -168,110 +166,6 @@ func d11FBL(ctx context.Context, seed int64, hw node.Hardware, f int, crashAt, h
 	if crashAt > 0 {
 		spec.Crashes = failure.Plan{{At: crashAt, Proc: 0}}
 	}
-	r := MustRun(ctx, spec)
-	out := d11Run{led: r.C.Outputs()}
-	if crashAt > 0 {
-		if tr := r.Victim(0); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d11Coord mirrors D9's coordinated scenario with the ledger attached.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11Coord(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	const n = 8
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := coord.Params{
-		N:             n,
-		App:           workload.Seeded(d11App(), seed),
-		SnapshotEvery: 4 * time.Second, // parity with PaperSpec's CPEvery
-		StatePad:      1 << 20,
-		Outputs:       led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Recovering():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, nil, nil)
-	}
-	if crashAt > 0 {
-		k.CrashAt(crashAt, 0)
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d11Run{led: led}
-	}
-	out := d11Run{led: led}
-	if crashAt > 0 {
-		if tr := k.Metrics(0).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d11Optimistic mirrors D10's optimistic scenario with the ledger attached.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11Optimistic(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	const n = 8
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := optimistic.Params{
-		N:          n,
-		App:        workload.Seeded(d11App(), seed),
-		FlushEvery: 500 * time.Millisecond,
-		StatePad:   4 << 10,
-		Outputs:    led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Rolling():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, func(i int) (journal, lag int) {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				total, durable := p.LogSizes()
-				return total, total - durable
-			}
-			return 0, 0
-		}, nil)
-	}
-	if crashAt > 0 {
-		k.CrashAt(crashAt, 0)
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d11Run{led: led}
-	}
-	out := d11Run{led: led}
-	if crashAt > 0 {
-		if tr := k.Metrics(0).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
+	r := runRow(ctx, spec)
+	return d11Run{led: r.C.Outputs(), recoveryEnd: r.recoveryEnd(0)}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/node"
 )
 
@@ -36,7 +37,7 @@ func TestD11Deterministic(t *testing.T) {
 // commit once its recovery completes — never during the outage.
 func TestD11StraddlersReleaseAfterRecovery(t *testing.T) {
 	const crashAt = 3 * time.Second
-	r := d11FBL(context.Background(), 1, node.Profile1995(), 2, crashAt, 12*time.Second, nil)
+	r := d11Cell(context.Background(), 1, node.Profile1995(), cluster.FamilyFBL, 2, crashAt, 12*time.Second, nil)
 	if r.recoveryEnd <= crashAt {
 		t.Fatalf("victim never recovered (recovery end %v)", r.recoveryEnd)
 	}

@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"time"
 
-	"rollrec/internal/coord"
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
-	"rollrec/internal/node"
-	"rollrec/internal/optimistic"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
 	"rollrec/internal/timeline"
 	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
@@ -120,11 +117,13 @@ type d12Row struct {
 // d12Rows enumerates one table block: the paper's FBL against the two
 // alternative styles, all hosting the same traffic spec and seed.
 func d12Rows(ctx context.Context, seed int64, tr workload.Traffic, crashAt, horizon time.Duration) []d12Row {
-	hw := node.Profile1995()
+	row := func(style string, fam cluster.Family) d12Row {
+		return d12Row{style, func() d12Run { return d12Cell(ctx, seed, fam, tr, crashAt, horizon, nil) }}
+	}
 	return []d12Row{
-		{"fbl f=2 nonblocking", func() d12Run { return d12FBL(ctx, seed, hw, tr, crashAt, horizon, nil) }},
-		{"coordinated", func() d12Run { return d12Coord(ctx, seed, hw, tr, crashAt, horizon, nil) }},
-		{"optimistic", func() d12Run { return d12Optimistic(ctx, seed, hw, tr, crashAt, horizon, nil) }},
+		row("fbl f=2 nonblocking", cluster.FamilyFBL),
+		row("coordinated", cluster.FamilyCoordinated),
+		row("optimistic", cluster.FamilyOptimistic),
 	}
 }
 
@@ -160,14 +159,13 @@ func d12StraddleNote(style string, r d12Run, crashAt time.Duration) string {
 		style, len(str), released, r.eng.Shed(), metrics.FmtDuration(first), metrics.FmtDuration(r.recoveryEnd))
 }
 
-// d12FBL hosts the traffic spec on the full cluster harness: Spec.Traffic
-// installs the app and Run attaches the engine. col, if non-nil, samples
-// the run (see D12Timelines).
-func d12FBL(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
+// d12Cell hosts the traffic spec under one protocol family on the cluster
+// harness: Spec.Traffic installs the app and Run attaches the engine. col,
+// if non-nil, samples the run (see D12Timelines).
+func d12Cell(ctx context.Context, seed int64, fam cluster.Family, tr workload.Traffic,
 	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
-	spec := PaperSpec(recovery.NonBlocking, seed)
+	spec := comparator(PaperSpec(recovery.NonBlocking, seed), fam)
 	spec.N = tr.N()
-	spec.HW = hw
 	spec.App = nil
 	spec.Traffic = &tr
 	spec.Horizon = horizon
@@ -176,140 +174,8 @@ func d12FBL(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traff
 	if crashAt > 0 {
 		spec.Crashes = failure.Plan{{At: crashAt, Proc: d12Victim(tr)}}
 	}
-	r := MustRun(ctx, spec)
-	out := d12Run{led: r.C.Outputs(), eng: r.Traffic}
-	if crashAt > 0 {
-		if rec := r.Victim(d12Victim(tr)); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d12Coord hosts the traffic spec on a raw coordinated-checkpointing
-// kernel, injecting arrivals through coord.Process.Inject.
-func d12Coord(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
-	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
-	n := tr.N()
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := coord.Params{
-		N:             n,
-		App:           workload.Seeded(traffic.NewApp(tr), seed),
-		SnapshotEvery: 4 * time.Second,
-		StatePad:      1 << 20,
-		Outputs:       led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Recovering():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, nil, func(i int) int {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process); ok && p != nil {
-				if a, ok := p.App().(interface{ InflightReqs() int }); ok {
-					return a.InflightReqs()
-				}
-			}
-			return 0
-		})
-	}
-	eng := traffic.NewEngine(tr, seed)
-	eng.Attach(traffic.Host{At: k.At, Inject: func(p ids.ProcID, payload []byte) bool {
-		pr, ok := k.ProcOf(p).(*coord.Process)
-		return ok && pr != nil && pr.Inject(payload)
-	}}, horizon)
-	if crashAt > 0 {
-		k.CrashAt(crashAt, d12Victim(tr))
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d12Run{led: led, eng: eng}
-	}
-	out := d12Run{led: led, eng: eng}
-	if crashAt > 0 {
-		if rec := k.Metrics(d12Victim(tr)).CurrentRecovery(); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d12Optimistic hosts the traffic spec on a raw optimistic-logging kernel;
-// arrivals are logged as self-entries (optimistic.Process.Inject), so any
-// process — including clients — could crash here, but the victim stays a
-// backend for cross-style comparability.
-func d12Optimistic(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
-	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
-	n := tr.N()
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := optimistic.Params{
-		N:          n,
-		App:        workload.Seeded(traffic.NewApp(tr), seed),
-		FlushEvery: 500 * time.Millisecond,
-		StatePad:   4 << 10,
-		Outputs:    led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Rolling():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, func(i int) (journal, lag int) {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				total, durable := p.LogSizes()
-				return total, total - durable
-			}
-			return 0, 0
-		}, func(i int) int {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				if a, ok := p.App().(interface{ InflightReqs() int }); ok {
-					return a.InflightReqs()
-				}
-			}
-			return 0
-		})
-	}
-	eng := traffic.NewEngine(tr, seed)
-	eng.Attach(traffic.Host{At: k.At, Inject: func(p ids.ProcID, payload []byte) bool {
-		pr, ok := k.ProcOf(p).(*optimistic.Process)
-		return ok && pr != nil && pr.Inject(payload)
-	}}, horizon)
-	if crashAt > 0 {
-		k.CrashAt(crashAt, d12Victim(tr))
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d12Run{led: led, eng: eng}
-	}
-	out := d12Run{led: led, eng: eng}
-	if crashAt > 0 {
-		if rec := k.Metrics(d12Victim(tr)).CurrentRecovery(); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
+	r := runRow(ctx, spec)
+	return d12Run{led: r.C.Outputs(), eng: r.Traffic, recoveryEnd: r.recoveryEnd(d12Victim(tr))}
 }
 
 // D12Timeline is one style's sampled crash-under-load run.
@@ -338,26 +204,16 @@ func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon ti
 // d12Timelines samples the crash variant of an arbitrary traffic spec (the
 // tests use a lighter cell than the experiment's).
 func d12Timelines(ctx context.Context, seed int64, tr workload.Traffic, interval, crashAt, horizon time.Duration) []D12Timeline {
-	hw := node.Profile1995()
-	mk := func(style string) *timeline.Collector {
-		return timeline.New(timeline.Config{
+	var out []D12Timeline
+	for _, fam := range families {
+		col := timeline.New(timeline.Config{
 			Interval: interval,
 			N:        tr.N(),
-			Label:    "D12/" + style + " load=" + fmt.Sprint(tr.Load) + " crash@" + crashAt.String(),
+			Label:    "D12/" + string(fam) + " load=" + fmt.Sprint(tr.Load) + " crash@" + crashAt.String(),
 			Tiers:    tr.TierSizes(),
 		})
+		d12Cell(ctx, seed, fam, tr, crashAt, horizon, col)
+		out = append(out, D12Timeline{Style: string(fam), Export: col.Export()})
 	}
-
-	fbl := mk("fbl")
-	d12FBL(ctx, seed, hw, tr, crashAt, horizon, fbl)
-	co := mk("coordinated")
-	d12Coord(ctx, seed, hw, tr, crashAt, horizon, co)
-	opt := mk("optimistic")
-	d12Optimistic(ctx, seed, hw, tr, crashAt, horizon, opt)
-
-	return []D12Timeline{
-		{Style: "fbl", Export: fbl.Export()},
-		{Style: "coordinated", Export: co.Export()},
-		{Style: "optimistic", Export: opt.Export()},
-	}
+	return out
 }

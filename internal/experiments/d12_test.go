@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"rollrec/internal/node"
+	"rollrec/internal/cluster"
 	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
 )
@@ -81,7 +81,7 @@ func TestD12CrashUnderLoadStraddlers(t *testing.T) {
 	const crashAt = 3 * time.Second
 	tr := d12TestTraffic()
 	victim := d12Victim(tr)
-	r := d12FBL(context.Background(), 1, node.Profile1995(), tr, crashAt, 12*time.Second, nil)
+	r := d12Cell(context.Background(), 1, cluster.FamilyFBL, tr, crashAt, 12*time.Second, nil)
 	if r.recoveryEnd <= crashAt {
 		t.Fatalf("victim never recovered (recovery end %v)", r.recoveryEnd)
 	}

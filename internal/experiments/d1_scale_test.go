@@ -36,7 +36,14 @@ func TestD1Scale1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=1024 cell is a long test")
 	}
-	run := func(shards int) (*Result, []uint64) {
+	// run keeps only the readouts the comparison needs, so the 1-shard
+	// cluster can be collected before the 4-shard run builds its own.
+	type readout struct {
+		digests []uint64
+		victim  time.Duration
+		events  int64
+	}
+	run := func(shards int) readout {
 		r := MustRun(context.Background(), d1ScaleSpec(shards))
 		if r.Victim(1).Total() <= 0 {
 			t.Fatalf("shards=%d: victim recorded no recovery", shards)
@@ -44,19 +51,19 @@ func TestD1Scale1024(t *testing.T) {
 		if mean, _ := r.LiveBlocked(); mean != 0 {
 			t.Fatalf("shards=%d: nonblocking style blocked live processes for %v (mean)", shards, mean)
 		}
-		return r, r.C.Digests()
+		return readout{digests: r.C.Digests(), victim: r.Victim(1).Total(), events: r.Events}
 	}
-	r1, d1 := run(1)
-	r4, d4 := run(4)
-	for i := range d1 {
-		if d1[i] != d4[i] {
-			t.Fatalf("digest of proc %d differs across shard counts: %#x vs %#x", i, d1[i], d4[i])
+	r1 := run(1)
+	r4 := run(4)
+	for i := range r1.digests {
+		if r1.digests[i] != r4.digests[i] {
+			t.Fatalf("digest of proc %d differs across shard counts: %#x vs %#x", i, r1.digests[i], r4.digests[i])
 		}
 	}
-	if a, b := r1.Victim(1).Total(), r4.Victim(1).Total(); a != b {
-		t.Fatalf("victim recovery differs across shard counts: %v vs %v", a, b)
+	if r1.victim != r4.victim {
+		t.Fatalf("victim recovery differs across shard counts: %v vs %v", r1.victim, r4.victim)
 	}
-	if a, b := r1.Events, r4.Events; a != b {
-		t.Fatalf("event counts differ across shard counts: %d vs %d", a, b)
+	if r1.events != r4.events {
+		t.Fatalf("event counts differ across shard counts: %d vs %d", r1.events, r4.events)
 	}
 }

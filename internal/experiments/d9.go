@@ -4,12 +4,10 @@ import (
 	"context"
 	"time"
 
-	"rollrec/internal/coord"
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
-	"rollrec/internal/workload"
 )
 
 // D9 compares the paper's protocol family against the classic alternative
@@ -29,92 +27,40 @@ func D9(ctx context.Context, seed int64) Table {
 		},
 	}
 
-	// Message logging with the paper's non-blocking recovery.
+	// Message logging with the paper's non-blocking recovery, then
+	// coordinated checkpointing with global rollback on the same scenario.
 	spec := PaperSpec(recovery.NonBlocking, seed)
 	spec.Crashes = failure.Plan{{At: 10 * time.Second, Proc: 3}}
-	r := MustRun(ctx, spec)
-	if ctx.Err() != nil {
-		return t
-	}
-	victim := r.Victim(3)
-	mean, _ := r.LiveBlocked()
-	met3 := r.C.Metrics(3)
-	redone := met3.Delivered - int64(r.C.Proc(3).RSN())
-	if redone < 0 {
-		redone = 0
-	}
-	var ffWrites int64
-	for i := 0; i < spec.N; i++ {
-		ffWrites += r.C.Metrics(ids.ProcID(i)).StorageWrites
-	}
-	t.AddRow("fbl + nonblocking recovery", victim.Total(), mean, redone, ffWrites)
-
-	// Coordinated checkpointing with global rollback.
-	c := runCoord(ctx, seed, spec.Horizon)
-	if ctx.Err() != nil {
-		return t
-	}
-	t.AddRow("coordinated (Chandy–Lamport)", c.victimRecovery, c.liveBlockedMean, c.lost, c.storageWrites)
-	return t
-}
-
-type coordResult struct {
-	victimRecovery  time.Duration
-	liveBlockedMean time.Duration
-	lost            int64
-	storageWrites   int64
-}
-
-// runCoord executes the coordinated-checkpointing scenario matching D9's
-// logging run: same hardware, same gossip shape, one crash at t=10s.
-func runCoord(ctx context.Context, seed int64, horizon time.Duration) coordResult {
-	const n = 8
-	spec := PaperSpec(recovery.NonBlocking, seed)
-	k := sim.New(sim.Config{Seed: seed, HW: spec.HW})
-	var lost int64
-	par := coord.Params{
-		N:             n,
-		App:           workload.Seeded(spec.App, seed),
-		SnapshotEvery: spec.CPEvery,
-		StatePad:      spec.Pad,
-		Hooks: coord.Hooks{
-			OnRollback: func(p ids.ProcID, epoch uint32, l int64) { lost += l },
-		},
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	k.CrashAt(10*time.Second, 3)
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return coordResult{}
-	}
-
-	out := coordResult{lost: lost}
-	if tr := k.Metrics(3).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-		out.victimRecovery = time.Duration(tr.ReplayedAt - tr.CrashedAt)
-	}
-	var blocked time.Duration
-	var writes int64
-	lives := 0
-	for i := 0; i < n; i++ {
-		m := k.Metrics(ids.ProcID(i))
-		writes += m.StorageWrites
-		if ids.ProcID(i) != 3 {
-			blocked += m.BlockedTotal()
-			lives++
+	for _, row := range []struct {
+		design string
+		spec   Spec
+	}{
+		{"fbl + nonblocking recovery", spec},
+		{"coordinated (Chandy–Lamport)", comparator(spec, cluster.FamilyCoordinated)},
+	} {
+		r := runRow(ctx, row.spec)
+		if ctx.Err() != nil {
+			return t
 		}
+		mean, _ := r.LiveBlocked()
+		var ffWrites, delivered int64
+		for i := 0; i < spec.N; i++ {
+			m := r.C.Metrics(ids.ProcID(i))
+			ffWrites += m.StorageWrites
+			delivered += m.Delivered
+		}
+		// Logging redoes only the victim's replay; a coordinated rollback
+		// discards every process's suffix since the snapshot.
+		redone := r.C.Lost()
+		if isFBL(row.spec.Family) {
+			redone = max(r.C.Metrics(3).Delivered-int64(r.C.Proc(3).RSN()), 0)
+		}
+		// Sanity: the comparison is meaningless if the cluster never
+		// resumed.
+		if delivered == 0 {
+			panic("experiments: " + row.design + " run made no progress")
+		}
+		t.AddRow(row.design, r.Victim(3).Total(), mean, redone, ffWrites)
 	}
-	out.liveBlockedMean = blocked / time.Duration(lives)
-	out.storageWrites = writes
-	// Sanity: the comparison is meaningless if the coordinated cluster
-	// never resumed.
-	var delivered int64
-	for i := 0; i < n; i++ {
-		delivered += k.Metrics(ids.ProcID(i)).Delivered
-	}
-	if delivered == 0 {
-		panic("experiments: coordinated run made no progress")
-	}
-	return out
+	return t
 }

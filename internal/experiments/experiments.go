@@ -98,6 +98,9 @@ func (t Table) String() string {
 
 // Spec describes one simulated run.
 type Spec struct {
+	// Family selects the recovery protocol family (cluster.Config.Family;
+	// zero: FBL). F and Style only apply to FBL.
+	Family  cluster.Family
 	N, F    int
 	Style   recovery.Style
 	Seed    int64
@@ -132,9 +135,10 @@ type Spec struct {
 	// serving workload (DESIGN §12): Run hosts traffic.NewApp(*Traffic) and
 	// attaches a traffic.Engine driving seeded arrivals at the client tier
 	// until the horizon. The spec's N must equal Traffic.N(), and — because
-	// this harness hosts the FBL family, whose replay cannot regenerate
-	// injected arrivals — the crash plan must not target the client tier;
-	// Run panics on either misuse. Read the engine back via Result.Traffic.
+	// FBL replay cannot regenerate injected arrivals — an FBL spec's crash
+	// plan must not target the client tier (optimistic logging logs
+	// arrivals, so it may); Run panics on either misuse. Read the engine
+	// back via Result.Traffic.
 	Traffic *workload.Traffic
 }
 
@@ -198,7 +202,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 				spec.Traffic.N(), spec.N))
 		}
 		for _, cr := range spec.Crashes {
-			if spec.Traffic.TierOf(cr.Proc) == workload.TierClient {
+			if isFBL(spec.Family) && spec.Traffic.TierOf(cr.Proc) == workload.TierClient {
 				panic(fmt.Sprintf("experiments: crash plan targets client %d; "+
 					"FBL replay cannot regenerate injected arrivals", cr.Proc))
 			}
@@ -206,6 +210,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		app = traffic.NewApp(*spec.Traffic)
 	}
 	c := cluster.New(cluster.Config{
+		Family:          spec.Family,
 		N:               spec.N,
 		F:               spec.F,
 		Seed:            spec.Seed,
@@ -237,6 +242,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	return r, nil
 }
 
+// isFBL reports whether fam selects the FBL family (the zero Family does).
+func isFBL(fam cluster.Family) bool { return fam == "" || fam == cluster.FamilyFBL }
+
 // MustRun panics on invariant violations — experiments must only report
 // numbers from consistent runs. A ctx-cancelled run returns its partial
 // result unchecked; callers bail out via ctx.Err().
@@ -253,9 +261,46 @@ func MustRun(ctx context.Context, spec Spec) *Result {
 	return r
 }
 
+// runRow runs one row of a cross-family comparison. FBL rows go through
+// MustRun. The comparator families' Check also demands a finished
+// workload, which the experiments' open-ended workloads never reach, so
+// their rows report the run without it.
+func runRow(ctx context.Context, spec Spec) *Result {
+	if isFBL(spec.Family) {
+		return MustRun(ctx, spec)
+	}
+	r, _ := Run(ctx, spec)
+	return r
+}
+
+// comparator re-targets spec at another protocol family with the knobs the
+// cross-family experiments (D9–D12) give it. Coordinated checkpointing
+// snapshots at the FBL checkpoint period with the same image size;
+// optimistic logging flushes its log every 500 ms with a 4 KiB pad.
+func comparator(spec Spec, fam cluster.Family) Spec {
+	spec.Family = fam
+	if fam == cluster.FamilyOptimistic {
+		spec.CPEvery = 500 * time.Millisecond
+		spec.Pad = 4 << 10
+	}
+	return spec
+}
+
 // Victim returns the recovery trace of process p's last recovery.
 func (r *Result) Victim(p ids.ProcID) *metrics.RecoveryTrace {
 	return r.C.Metrics(p).CurrentRecovery()
+}
+
+// recoveryEnd returns the virtual instant crash victim p finished its last
+// recovery, or 0 when the spec crashes nothing or p never finished.
+func (r *Result) recoveryEnd(p ids.ProcID) time.Duration {
+	if len(r.Spec.Crashes) == 0 {
+		return 0
+	}
+	if tr := r.Victim(p); tr != nil && tr.ReplayedAt != 0 {
+		return time.Duration(tr.ReplayedAt)
+	}
+	return 0
 }
 
 // LiveBlocked returns mean and max blocked time over the processes that

@@ -4,47 +4,14 @@ import (
 	"context"
 	"time"
 
-	"rollrec/internal/ids"
-	"rollrec/internal/metrics"
+	"rollrec/internal/cluster"
 	"rollrec/internal/node"
-	"rollrec/internal/output"
-	"rollrec/internal/sim"
 	"rollrec/internal/timeline"
 )
 
-// attachKernelTimeline binds a collector to a raw kernel + ledger run (the
-// coordinated and optimistic D11/D12 scenarios bypass the cluster harness,
-// so they assemble their probes here). phase maps a process index to its
-// lifecycle phase; journal, if non-nil, supplies the (journal, lag) gauges
-// for styles that keep a volatile log; inflight, if non-nil, supplies the
-// open-request gauge of the traffic workload.
-func attachKernelTimeline(col *timeline.Collector, k *sim.Kernel, led *output.Ledger,
-	n int, phase func(i int) timeline.Phase, journal func(i int) (journal, lag int),
-	inflight func(i int) int) {
-	met := func(i int) *metrics.Proc { return k.Metrics(ids.ProcID(i)) }
-	col.Bind(timeline.Probes{
-		Queue: func() (int, int) { return k.QueueDepth(), k.InFlightFrames() },
-		Proc: func(i int) timeline.ProcGauges {
-			id := ids.ProcID(i)
-			g := timeline.ProcGauges{
-				Phase:       phase(i),
-				StableBytes: k.Store(id).Bytes(),
-				Backlog:     led.OpenOf(id),
-				OldestOpen:  led.OldestOpenOf(id),
-			}
-			if journal != nil {
-				g.Journal, g.Lag = journal(i)
-			}
-			if inflight != nil {
-				g.Inflight = inflight(i)
-			}
-			return g
-		},
-		Metrics: met,
-		Markers: func() []timeline.Marker { return timeline.RecoveryMarkers(n, met) },
-	})
-	k.SetSampler(col.Interval(), col.Tick)
-}
+// families are the protocol families the timeline exports compare, in
+// export order.
+var families = []cluster.Family{cluster.FamilyFBL, cluster.FamilyCoordinated, cluster.FamilyOptimistic}
 
 // D11Timeline is one style's sampled crash run.
 type D11Timeline struct {
@@ -66,25 +33,15 @@ func D11Timelines(ctx context.Context, seed int64, interval, crashAt, horizon ti
 	if horizon <= 0 {
 		horizon = 25 * time.Second
 	}
-	hw := node.Profile1995()
-	mk := func(style string) *timeline.Collector {
-		return timeline.New(timeline.Config{
+	var out []D11Timeline
+	for _, fam := range families {
+		col := timeline.New(timeline.Config{
 			Interval: interval,
 			N:        8,
-			Label:    "D11/" + style + " crash@" + crashAt.String(),
+			Label:    "D11/" + string(fam) + " crash@" + crashAt.String(),
 		})
+		d11Cell(ctx, seed, node.Profile1995(), fam, 2, crashAt, horizon, col)
+		out = append(out, D11Timeline{Style: string(fam), Export: col.Export()})
 	}
-
-	fbl := mk("fbl")
-	d11FBL(ctx, seed, hw, 2, crashAt, horizon, fbl)
-	co := mk("coordinated")
-	d11Coord(ctx, seed, hw, crashAt, horizon, co)
-	opt := mk("optimistic")
-	d11Optimistic(ctx, seed, hw, crashAt, horizon, opt)
-
-	return []D11Timeline{
-		{Style: "fbl", Export: fbl.Export()},
-		{Style: "coordinated", Export: co.Export()},
-		{Style: "optimistic", Export: opt.Export()},
-	}
+	return out
 }

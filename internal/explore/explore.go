@@ -48,6 +48,7 @@ import (
 	"sort"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
@@ -55,16 +56,16 @@ import (
 )
 
 // Family selects the protocol family under exploration.
-type Family string
+type Family = cluster.Family
 
 const (
 	// FamilyFBL is the paper's family-based-logging cluster (all three
 	// recovery styles: nonblocking, blocking, manetho).
-	FamilyFBL Family = "fbl"
+	FamilyFBL = cluster.FamilyFBL
 	// FamilyCoordinated is Chandy–Lamport coordinated checkpointing.
-	FamilyCoordinated Family = "coordinated"
+	FamilyCoordinated = cluster.FamilyCoordinated
 	// FamilyOptimistic is optimistic message logging.
-	FamilyOptimistic Family = "optimistic"
+	FamilyOptimistic = cluster.FamilyOptimistic
 )
 
 // Families returns every explorable family, in canonical order.
@@ -217,14 +218,14 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		}
 		h = foldStep(h, s)
 	})
-	in.applyPlan(plan)
-	n, err := in.run(ctx, spec.Horizon)
+	in.c.ApplyPlan(plan)
+	n, err := in.c.RunContext(ctx, spec.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	res.events = n
 	res.steps = in.kern.Steps()
-	res.digests = in.digests()
+	res.digests = in.c.Digests()
 	res.conflicts = in.conflicts
 	res.famErrs = in.endCheck()
 	res.points = in.tracer.points
