@@ -209,7 +209,8 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		}
 	}
 	h := uint64(fnvOffset)
-	in.kern.SetStepProbe(func(s sim.StepInfo) {
+	kern := in.c.Kernel()
+	kern.SetStepProbe(func(s sim.StepInfo) {
 		if recordAll {
 			res.prefix = append(res.prefix, h)
 		}
@@ -224,10 +225,12 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		return nil, err
 	}
 	res.events = n
-	res.steps = in.kern.Steps()
+	res.steps = kern.Steps()
 	res.digests = in.c.Digests()
 	res.conflicts = in.conflicts
-	res.famErrs = in.endCheck()
+	for _, err := range in.c.Check() {
+		res.famErrs = append(res.famErrs, err.Error())
+	}
 	res.points = in.tracer.points
 	res.recSteps = in.tracer.recSteps
 	res.stateFidelity = in.stateFidelity

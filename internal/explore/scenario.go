@@ -7,7 +7,6 @@ import (
 	"rollrec/internal/cluster"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
-	"rollrec/internal/sim"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
 )
@@ -107,7 +106,6 @@ func (d *decisionTracer) Span(ts, dur int64, proc int32, name string, tag trace.
 // instance is one freshly-built scenario, ready to run exactly once.
 type instance struct {
 	c         *cluster.Cluster
-	kern      *sim.Kernel
 	tracer    *decisionTracer
 	conflicts []string
 	// stateFidelity marks that terminal digests must equal the crash-free
@@ -119,15 +117,6 @@ type instance struct {
 	// so FBL relies on the protocol-level checks (orphans, exactly-once,
 	// replay fidelity) instead.
 	stateFidelity bool
-}
-
-// endCheck runs the family's end-state checker (cluster.Check).
-func (in *instance) endCheck() []string {
-	var out []string
-	for _, err := range in.c.Check() {
-		out = append(out, err.Error())
-	}
-	return out
 }
 
 // build constructs a fresh instance of the spec's scenario. Workload sizes
@@ -147,23 +136,22 @@ func build(spec Spec) *instance {
 		Tracer:          dt,
 		TrackOutputs:    true,
 	}
-	ring := ringFactory(uint64(8*spec.N), 64, int64(500*time.Microsecond))
 	switch spec.Family {
 	case FamilyFBL:
 		cfg.App = funnelFactory(5, 64, int64(200*time.Microsecond))
 		cfg.StatePad = 16 << 10
 	case FamilyCoordinated:
-		cfg.App = ring
+		cfg.App = ringFactory(uint64(8*spec.N), 64, int64(500*time.Microsecond))
 		cfg.StatePad = 8 << 10
 	case FamilyOptimistic:
-		cfg.App = ring
+		cfg.App = ringFactory(uint64(8*spec.N), 64, int64(500*time.Microsecond))
 		cfg.StatePad = 2 << 10
 	default:
 		panic(fmt.Sprintf("explore: unknown family %q", spec.Family))
 	}
 	c := cluster.New(cfg)
-	in := &instance{c: c, kern: c.Kernel(), tracer: dt, stateFidelity: spec.Family != FamilyFBL}
-	dt.steps = in.kern.Steps
+	in := &instance{c: c, tracer: dt, stateFidelity: spec.Family != FamilyFBL}
+	dt.steps = c.Kernel().Steps
 	c.Outputs().SetOnConflict(func(proc ids.ProcID, seq uint64, oldHash, newHash uint64) {
 		in.conflicts = append(in.conflicts, fmt.Sprintf(
 			"proc %d output #%d re-requested with different content after release (%#x -> %#x)",
