@@ -587,14 +587,15 @@ func (c *Cluster) RunUntilDone(step, horizon time.Duration) bool {
 }
 
 // Check verifies the end-state invariants and returns every violation
-// found (nil means the run was consistent).
+// found (nil means the run was consistent). FBL gets the full catalog
+// below; the comparator families get rollbackLiveness.
 func (c *Cluster) Check() []error {
+	if c.cfg.Family != FamilyFBL {
+		return c.rollbackLiveness()
+	}
 	var errs []error
 	for _, v := range c.violations {
 		errs = append(errs, fmt.Errorf("%s", v))
-	}
-	if c.cfg.Family != FamilyFBL {
-		return append(errs, c.rollbackLiveness()...)
 	}
 
 	// Liveness (§4.2/§4.4): every crashed process must be live again. The

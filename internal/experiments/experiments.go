@@ -136,9 +136,10 @@ type Spec struct {
 	// attaches a traffic.Engine driving seeded arrivals at the client tier
 	// until the horizon. The spec's N must equal Traffic.N(), and — because
 	// FBL replay cannot regenerate injected arrivals — an FBL spec's crash
-	// plan must not target the client tier (optimistic logging logs
-	// arrivals, so it may); Run panics on either misuse. Read the engine
-	// back via Result.Traffic.
+	// plan must not target the client tier; Run panics on either misuse.
+	// Coordinated rollback discards injected arrivals with the rest of the
+	// cut, and optimistic logging logs them, so neither has that limit.
+	// Read the engine back via Result.Traffic.
 	Traffic *workload.Traffic
 }
 
@@ -291,12 +292,9 @@ func (r *Result) Victim(p ids.ProcID) *metrics.RecoveryTrace {
 	return r.C.Metrics(p).CurrentRecovery()
 }
 
-// recoveryEnd returns the virtual instant crash victim p finished its last
-// recovery, or 0 when the spec crashes nothing or p never finished.
+// recoveryEnd returns the virtual instant p finished its last recovery, or
+// 0 when p never crashed or never finished.
 func (r *Result) recoveryEnd(p ids.ProcID) time.Duration {
-	if len(r.Spec.Crashes) == 0 {
-		return 0
-	}
 	if tr := r.Victim(p); tr != nil && tr.ReplayedAt != 0 {
 		return time.Duration(tr.ReplayedAt)
 	}
