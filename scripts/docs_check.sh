@@ -60,14 +60,14 @@ for id in $(joined $DOCS | grep -oE '\-only [ED][0-9]+(,[ED][0-9]+)*' | sed 's/-
 done
 
 # 4. family and style names passed to cmd/explore. The family registry is
-# internal/explore's Family constants; the styles are recovery.Style's
-# String() names. "all" is the CLI's wildcard.
-family_names=$(grep -oE 'Family = "[a-z]+"' internal/explore/explore.go | grep -oE '"[a-z]+"' | tr -d '"')
+# internal/cluster's Family constants (internal/explore aliases them); the
+# styles are recovery.Style's String() names. "all" is the CLI's wildcard.
+family_names=$(grep -oE 'Family = "[a-z]+"' internal/cluster/cluster.go | grep -oE '"[a-z]+"' | tr -d '"')
 style_names=$(grep -oE 'return "[a-z]+"' internal/recovery/recovery.go | grep -oE '"[a-z]+"' | tr -d '"')
 for fam in $(joined $DOCS | grep -oE 'cmd/explore .*' | grep -oE '\-families [a-z]+(,[a-z]+)*' | sed 's/-families //' | tr ',' '\n' | sort -u); do
   [ "$fam" = all ] && continue
   if ! grep -qx "$fam" <<<"$family_names"; then
-    echo "docs_check: family '$fam' passed to cmd/explore in docs but absent from internal/explore" >&2
+    echo "docs_check: family '$fam' passed to cmd/explore in docs but absent from internal/cluster" >&2
     fail=1
   fi
 done
