@@ -41,7 +41,7 @@ func main() {
 		horizon  = flag.Duration("horizon", 30*time.Second, "virtual run time")
 		cpEvery  = flag.Duration("checkpoint", 4*time.Second, "checkpoint interval")
 		pad      = flag.Int("statepad", 1<<20, "checkpoint padding bytes (process image size)")
-		eventlog = flag.Bool("eventlog", false, "emit the plain-text event log to stderr")
+		eventlog = flag.Bool("eventlog", false, "print the recorded trace events as text to stderr after the run")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 		traceSum = flag.Bool("trace-summary", false, "print the per-phase latency summary table")
 		traceBuf = flag.Int("trace-buf", 1<<20, "trace ring capacity in events; older events are evicted when full")
@@ -79,11 +79,8 @@ func main() {
 		CheckpointEvery: *cpEvery,
 		StatePad:        *pad,
 	}
-	if *eventlog {
-		cfg.Trace = os.Stderr
-	}
 	var rec *trace.Recorder
-	if *traceOut != "" || *traceSum {
+	if *traceOut != "" || *traceSum || *eventlog {
 		rec = trace.NewRecorder(*traceBuf)
 		cfg.Tracer = rec
 	}
@@ -158,6 +155,14 @@ func main() {
 	}
 
 	if rec != nil {
+		if *eventlog {
+			if err := trace.WriteText(os.Stderr, rec.Events(), kindName); err != nil {
+				fatal(err)
+			}
+			if d := rec.Dropped(); d > 0 {
+				fmt.Fprintf(os.Stderr, "eventlog: ring full, %d oldest events evicted; rerun with a larger -trace-buf\n", d)
+			}
+		}
 		if *traceSum {
 			fmt.Printf("\nrecovery-phase latency summary (%d events, %d dropped):\n",
 				rec.Len(), rec.Dropped())
@@ -266,15 +271,14 @@ func writeChromeFile(path string, rec *trace.Recorder) error {
 	if err != nil {
 		return err
 	}
-	opts := trace.ChromeOptions{
-		KindName: func(k uint8) string { return wire.Kind(k).String() },
-	}
-	if err := trace.WriteChrome(f, rec.Events(), opts); err != nil {
+	if err := trace.WriteChrome(f, rec.Events(), trace.ChromeOptions{KindName: kindName}); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
+
+func kindName(k uint8) string { return wire.Kind(k).String() }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fblsim:", err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
@@ -126,5 +127,26 @@ func TestOnLiveTruncatesTimelines(t *testing.T) {
 	}
 	if _, ok := c.deliveries[1][800]; ok {
 		t.Fatal("deliveries beyond the recovery frontier must be dropped")
+	}
+}
+
+// TestCheckOrderStable: the violation list is deterministic. Stopping the
+// golden scenario mid-replay leaves many deliveries whose sends the victim
+// has not regenerated yet; reporting them must not follow map order.
+func TestCheckOrderStable(t *testing.T) {
+	c := New(goldenConfig(nil))
+	c.ApplyPlan(failure.Plan{{At: 6 * time.Second, Proc: 1}})
+	c.Run(12 * time.Second)
+	a, b := c.Check(), c.Check()
+	if len(a) < 2 {
+		t.Fatalf("want several violations mid-recovery, got %d", len(a))
+	}
+	if len(a) != len(b) {
+		t.Fatalf("Check lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Error() != b[i].Error() {
+			t.Fatalf("Check order differs at %d: %q vs %q", i, a[i], b[i])
+		}
 	}
 }

@@ -11,7 +11,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,8 +70,6 @@ type Config struct {
 	// StatePad models the process image size (bytes added per checkpoint,
 	// snapshot, or optimistic log flush).
 	StatePad int
-	// Trace, if non-nil, receives event trace lines.
-	Trace io.Writer
 	// Tracer, if non-nil, records structured events and recovery-phase
 	// spans (see internal/trace). Nil disables structured tracing. With
 	// Shards > 0 the tracer is invoked from shard goroutines and must be
@@ -84,7 +82,7 @@ type Config struct {
 	// backlog to the FIFO defer queue, so their event interleaving differs
 	// from the classic kernel's (each mode pins its own golden hash);
 	// per-process behavior is byte-identical across shard counts. Mutually
-	// exclusive with Trace, TrackOutputs, and AttachTimeline.
+	// exclusive with TrackOutputs and AttachTimeline.
 	Shards int
 	// Fanout > 0 selects the ring-based dissemination protocol mode with
 	// that fanout degree (see fbl.Params.Fanout); 0 is the paper's literal
@@ -184,11 +182,8 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{cfg: cfg}
 
-	simCfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Trace: cfg.Trace, Tracer: cfg.Tracer}
+	simCfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Tracer: cfg.Tracer}
 	if cfg.Shards > 0 {
-		if cfg.Trace != nil {
-			panic("cluster: Trace (text event log) requires the classic kernel; shard goroutines would interleave lines")
-		}
 		if cfg.TrackOutputs {
 			panic("cluster: TrackOutputs requires the classic kernel (Shards=0); the ledger is not shard-safe")
 		}
@@ -619,9 +614,17 @@ func (c *Cluster) Check() []error {
 
 	// Safety (§4.3): every delivery on a surviving timeline must match a
 	// send on the sender's surviving timeline — otherwise the receiver is
-	// an orphan of a rolled-back execution.
+	// an orphan of a rolled-back execution. Deliveries are visited in rsn
+	// order so the violation list is the same on every call.
+	var rsns []ids.RSN
 	for recv := 0; recv < c.cfg.N; recv++ {
-		for rsn, d := range c.deliveries[recv] {
+		rsns = rsns[:0]
+		for rsn := range c.deliveries[recv] {
+			rsns = append(rsns, rsn)
+		}
+		slices.Sort(rsns)
+		for _, rsn := range rsns {
+			d := c.deliveries[recv][rsn]
 			s := d.msg.Sender
 			rec, ok := c.sends[s][d.msg.SSN]
 			if !ok {

@@ -252,8 +252,6 @@ func (p *Process) finishRollback(lost int64) {
 	if p.par.Hooks.OnRollback != nil {
 		p.par.Hooks.OnRollback(p.env.ID(), p.epoch, lost)
 	}
-	p.env.Logf("coord: rolled back to snapshot %d (epoch %d, %d deliveries lost)",
-		p.committedID, p.epoch, lost)
 	p.drainFuture()
 }
 
@@ -369,8 +367,6 @@ func (p *Process) relayRollback() {
 	p.rollingBack = true
 	p.persistEpoch()
 	p.broadcastRollback(p.committedID, false)
-	p.env.Logf("coord: relaying rollback for a stale restarter (epoch %d, snapshot %d)",
-		p.epoch, p.committedID)
 	p.restoreLine(p.committedID)
 }
 
@@ -397,8 +393,6 @@ func (p *Process) restoreLine(snapID uint32) {
 		if p.par.Hooks.OnRollback != nil {
 			p.par.Hooks.OnRollback(p.env.ID(), p.epoch, lost)
 		}
-		p.env.Logf("coord: live rollback to snapshot %d (epoch %d, %d deliveries lost)",
-			p.committedID, p.epoch, lost)
 		p.drainFuture()
 		for _, m := range recorded {
 			p.deliverApp(&wire.Envelope{
@@ -457,9 +451,6 @@ type appCtx struct{ p *Process }
 func (c appCtx) Self() ids.ProcID { return c.p.env.ID() }
 func (c appCtx) N() int           { return c.p.n }
 func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
-func (c appCtx) Logf(format string, args ...any) {
-	c.p.env.Logf(format, args...)
-}
 
 // Send transmits an application payload (no logging: this protocol's whole
 // point is that failure-free operation is bare).

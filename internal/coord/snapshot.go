@@ -139,7 +139,6 @@ func (p *Process) commit(id uint32) {
 	p.sinceSnap = 0
 	p.persistEpoch()
 	p.commitOutputs(id)
-	p.env.Logf("coord: snapshot %d committed", id)
 }
 
 func parseCommitted(data []byte) (id, epoch uint32) {

@@ -83,7 +83,7 @@ func modelInputsFrom(r *Result) costmodel.Inputs {
 		cpBytes = s.Size("cp")
 	}
 	if cpBytes == 0 {
-		cpBytes = r.Spec.Pad
+		cpBytes = r.Spec.StatePad
 	}
 	return costmodel.Inputs{
 		HW:              r.Spec.HW,

@@ -96,36 +96,19 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// Spec describes one simulated run.
+// Spec describes one simulated run: the cluster it builds plus the crash
+// plan, horizon, and optional sampler and traffic that drive it.
 type Spec struct {
-	// Family selects the recovery protocol family (cluster.Config.Family;
-	// zero: FBL). F and Style only apply to FBL.
-	Family  cluster.Family
-	N, F    int
-	Style   recovery.Style
-	Seed    int64
-	HW      node.Hardware
-	App     workload.Factory
-	CPEvery time.Duration
-	Pad     int
+	// Config is the cluster under test. A nil Tracer falls back to
+	// DefaultTracer on the classic kernel only: DefaultTracer is not safe
+	// for shard goroutines, so an explicit Tracer on a sharded spec must be
+	// concurrency-safe. Sharded specs (Shards > 0, required for the n=1024
+	// cells) cannot host Timeline, TrackOutputs, or Traffic, which all need
+	// the classic kernel's cluster-wide instants. TrackOutputs' ledger is
+	// read back with Result.C.Outputs().
+	cluster.Config
 	Crashes failure.Plan
 	Horizon time.Duration
-	// Shards > 0 runs the cluster on the sharded conservative-window
-	// scheduler (DESIGN §2); required for the n=1024 cells. Sharded runs
-	// cannot host Timeline, TrackOutputs, or Traffic (all need the classic
-	// kernel's cluster-wide instants), and DefaultTracer is not attached to
-	// them (it is not safe for shard goroutines); an explicit Tracer must
-	// be concurrency-safe.
-	Shards int
-	// Fanout > 0 selects the ring dissemination protocol mode with that
-	// degree (cluster.Config.Fanout); 0 is the paper's all-peers broadcast.
-	Fanout int
-	// Tracer, if non-nil, records structured events for this run;
-	// DefaultTracer is used when nil.
-	Tracer trace.Tracer
-	// TrackOutputs wires the output-commit ledger (DESIGN §10) into the
-	// cluster; read it back with Result.C.Outputs().
-	TrackOutputs bool
 	// Timeline, if non-nil, is attached to the run's cluster before events
 	// flow: the kernel samples it at the collector's interval (DESIGN §11).
 	// Sampling is observation-only — it changes no event ordering — so a
@@ -150,18 +133,20 @@ type Spec struct {
 // snapshots can never drift apart.
 func PaperSpec(style recovery.Style, seed int64) Spec {
 	return Spec{
-		N:     8,
-		F:     2,
-		Style: style,
-		Seed:  seed,
-		HW:    node.Profile1995(),
-		// A long-TTL gossip keeps every process busy throughout the run;
-		// one chain per process with ~1 ms of work per delivery keeps the
-		// simulated message rate at roughly what the paper's testbed could
-		// sustain.
-		App:     workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
-		CPEvery: 4 * time.Second,
-		Pad:     1 << 20, // ~1 MB process state
+		Config: cluster.Config{
+			N:     8,
+			F:     2,
+			Style: style,
+			Seed:  seed,
+			HW:    node.Profile1995(),
+			// A long-TTL gossip keeps every process busy throughout the
+			// run; one chain per process with ~1 ms of work per delivery
+			// keeps the simulated message rate at roughly what the paper's
+			// testbed could sustain.
+			App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
+			CheckpointEvery: 4 * time.Second,
+			StatePad:        1 << 20, // ~1 MB process state
+		},
 		Horizon: 25 * time.Second,
 	}
 }
@@ -188,11 +173,10 @@ type Result struct {
 // of virtual time that ran (its invariants are NOT checked — a cut-short
 // run is consistent but incomplete) and the error is ctx's.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	tr := spec.Tracer
-	if tr == nil && spec.Shards == 0 {
-		tr = DefaultTracer
+	cfg := spec.Config
+	if cfg.Tracer == nil && cfg.Shards == 0 {
+		cfg.Tracer = DefaultTracer
 	}
-	app := spec.App
 	if spec.Traffic != nil {
 		if spec.Shards > 0 {
 			panic("experiments: Traffic needs the classic kernel (Shards=0); " +
@@ -208,23 +192,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					"FBL replay cannot regenerate injected arrivals", cr.Proc))
 			}
 		}
-		app = traffic.NewApp(*spec.Traffic)
+		cfg.App = traffic.NewApp(*spec.Traffic)
 	}
-	c := cluster.New(cluster.Config{
-		Family:          spec.Family,
-		N:               spec.N,
-		F:               spec.F,
-		Seed:            spec.Seed,
-		HW:              spec.HW,
-		Style:           spec.Style,
-		App:             app,
-		CheckpointEvery: spec.CPEvery,
-		StatePad:        spec.Pad,
-		Tracer:          tr,
-		TrackOutputs:    spec.TrackOutputs,
-		Shards:          spec.Shards,
-		Fanout:          spec.Fanout,
-	})
+	c := cluster.New(cfg)
 	if spec.Timeline != nil {
 		c.AttachTimeline(spec.Timeline)
 	}
@@ -281,8 +251,8 @@ func runRow(ctx context.Context, spec Spec) *Result {
 func comparator(spec Spec, fam cluster.Family) Spec {
 	spec.Family = fam
 	if fam == cluster.FamilyOptimistic {
-		spec.CPEvery = 500 * time.Millisecond
-		spec.Pad = 4 << 10
+		spec.CheckpointEvery = 500 * time.Millisecond
+		spec.StatePad = 4 << 10
 	}
 	return spec
 }

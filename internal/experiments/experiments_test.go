@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
@@ -70,10 +72,12 @@ func fastSpec(style recovery.Style) Spec {
 	hw.Disk.ReadBandwidth = 100e6
 	hw.Disk.WriteBandwidth = 100e6
 	return Spec{
-		N: 4, F: 2, Style: style, Seed: 3, HW: hw,
-		App:     workload.NewRandomPeer(1, 1_000_000, 32, int64(200*time.Microsecond)),
-		CPEvery: 500 * time.Millisecond,
-		Pad:     8 << 10,
+		Config: cluster.Config{
+			N: 4, F: 2, Style: style, Seed: 3, HW: hw,
+			App:             workload.NewRandomPeer(1, 1_000_000, 32, int64(200*time.Microsecond)),
+			CheckpointEvery: 500 * time.Millisecond,
+			StatePad:        8 << 10,
+		},
 		Crashes: failure.Plan{{At: time.Second, Proc: 1}},
 		Horizon: 5 * time.Second,
 	}
@@ -99,5 +103,28 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 	r := MustRun(context.Background(), fastSpec(recovery.NonBlocking))
 	if mean, max := r.LiveBlocked(); mean != 0 || max != 0 {
 		t.Fatalf("nonblocking run blocked lives: mean=%v max=%v", mean, max)
+	}
+}
+
+// TestIndex: the index lists E1, E2, D1…D12 in order, and every entry,
+// run with an already-cancelled context, returns promptly with a table
+// whose ID matches its entry.
+func TestIndex(t *testing.T) {
+	want := []string{"E1", "E2"}
+	for i := 1; i <= 12; i++ {
+		want = append(want, fmt.Sprintf("D%d", i))
+	}
+	if len(Index) != len(want) {
+		t.Fatalf("Index has %d entries, want %d", len(Index), len(want))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, e := range Index {
+		if e.ID != want[i] {
+			t.Errorf("Index[%d].ID = %s, want %s", i, e.ID, want[i])
+		}
+		if got := e.Run(ctx, 1).ID; got != e.ID {
+			t.Errorf("%s returned a table with ID %q", e.ID, got)
+		}
 	}
 }

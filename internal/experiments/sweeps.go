@@ -192,18 +192,3 @@ func D7(ctx context.Context, seed int64) Table {
 	}
 	return t
 }
-
-// All runs every experiment in index order, stopping early (with the
-// tables produced so far) when ctx is done.
-func All(ctx context.Context, seed int64) []Table {
-	var out []Table
-	for _, run := range []func(context.Context, int64) Table{
-		E1, E2, D1, D2, D3, D4, D5, D6, D7, D8, D9, D10, D11,
-	} {
-		if ctx.Err() != nil {
-			break
-		}
-		out = append(out, run(ctx, seed))
-	}
-	return out
-}

@@ -60,7 +60,6 @@ func (t *ringApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 	acc := r.U64()
 	r.Bytes()
 	if r.Err() != nil {
-		ctx.Logf("explore-ring: bad payload from %v: %v", from, r.Err())
 		return
 	}
 	if t.work > 0 {
@@ -158,7 +157,6 @@ func (f *funnelApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 	val := r.U64()
 	r.Bytes()
 	if r.Err() != nil {
-		ctx.Logf("explore-funnel: bad payload from %v: %v", from, r.Err())
 		return
 	}
 	if f.work > 0 {

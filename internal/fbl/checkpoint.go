@@ -298,7 +298,6 @@ func (p *Process) restore() {
 				}
 				p.env.Tracer().End(restoreSpan, p.env.Now())
 				p.mode = ModeRecovering
-				p.env.Logf("fbl: restored at rsn %d, incarnation %d, ord %v", p.cpRSN, p.inc, ord)
 				p.mgr.StartRecovery(ord, p.inc)
 			})
 		})

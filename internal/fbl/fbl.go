@@ -410,9 +410,7 @@ func (p *Process) Deliver(e *wire.Envelope) {
 	case wire.KindReplayRequest:
 		p.serveReplay(e)
 	default:
-		if !p.mgr.HandleMessage(e) {
-			p.env.Logf("fbl: unhandled kind %v from %v", e.Kind, e.From)
-		}
+		p.mgr.HandleMessage(e)
 	}
 	// Holder knowledge only grows on the receive path, so this is the one
 	// place pending outputs can become committable.

@@ -64,7 +64,6 @@ func (f *fakeEnv) WriteStable(k string, d []byte, cb func()) {
 	}
 }
 func (f *fakeEnv) Rand() *rand.Rand       { return f.rng }
-func (f *fakeEnv) Logf(string, ...any)    {}
 func (f *fakeEnv) Metrics() *metrics.Proc { return f.met }
 func (f *fakeEnv) Tracer() trace.Tracer   { return trace.Nop{} }
 

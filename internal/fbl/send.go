@@ -15,9 +15,6 @@ type appCtx struct{ p *Process }
 func (c appCtx) Self() ids.ProcID { return c.p.env.ID() }
 func (c appCtx) N() int           { return c.p.n }
 func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
-func (c appCtx) Logf(format string, args ...any) {
-	c.p.env.Logf(format, args...)
-}
 
 // Send is the application send path: assign identifiers, log the message in
 // the sender's volatile store (sender-based message logging), attach the
@@ -35,9 +32,6 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	id := ids.MsgID{Sender: p.env.ID(), SSN: p.ssn}
 	if p.par.Hooks.OnSend != nil {
 		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(cp))
-	}
-	if debugReplay && p.mode == ModeReplaying {
-		p.env.Logf("REPLAYDBG send to=%v ssn=%d dseq=%d", to, p.ssn, dseq)
 	}
 	p.transmit(to, dseq, logRec{ssn: p.ssn, payload: cp})
 }
@@ -169,8 +163,6 @@ func (p *Process) serveReplay(e *wire.Envelope) {
 	if len(dseqs) == 0 {
 		return
 	}
-	p.env.Logf("fbl: replaying %d logged messages to %v (watermark %d, served %d)",
-		len(dseqs), to, e.Dseq, start)
 	for _, d := range dseqs {
 		p.transmit(to, d, log[d])
 	}

@@ -8,7 +8,6 @@ package livenet
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
-	"rollrec/internal/timeline"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
 )
@@ -33,8 +31,6 @@ type Config struct {
 	TimeScale float64
 	// Seed drives per-node randomness.
 	Seed int64
-	// Trace, if non-nil, receives event lines (synchronized).
-	Trace io.Writer
 	// Tracer, if non-nil, records structured events and spans; it must be
 	// safe for concurrent use (trace.Recorder is). Nil disables tracing.
 	Tracer trace.Tracer
@@ -53,7 +49,6 @@ type Net struct {
 	nodes  map[ids.ProcID]*lnode
 	nApp   int
 	links  map[[2]ids.ProcID]time.Time // per-link FIFO frontier
-	traceM sync.Mutex
 }
 
 // New returns an empty runtime.
@@ -159,7 +154,6 @@ func (n *Net) Crash(id ids.ProcID) {
 	n.tr.Instant(n.vnow(), int32(id), trace.EvCrash, trace.Tag{})
 	ln.downSpan = n.tr.Begin(n.vnow(), int32(id), trace.EvDown, trace.Tag{})
 	ln.mu.Unlock()
-	n.tracef("%v CRASH", id)
 
 	delay := n.scale(n.cfg.HW.WatchdogDetect + n.cfg.HW.RestartDelay)
 	time.AfterFunc(delay, func() {
@@ -180,7 +174,6 @@ func (n *Net) Crash(id ids.ProcID) {
 		n.tr.End(ln.downSpan, n.vnow())
 		ln.downSpan = 0
 		n.tr.Instant(n.vnow(), int32(id), trace.EvRestart, trace.Tag{})
-		n.tracef("%v RESTART", id)
 		ln.proc.Boot(ln, true)
 	})
 }
@@ -213,78 +206,6 @@ func (n *Net) Inspect(id ids.ProcID, fn func(p node.Process)) {
 	fn(ln.proc)
 }
 
-// AttachTimeline drives col from a wall-clock ticker at the collector's
-// interval (scaled by TimeScale) — the live-runtime analogue of the
-// simulator's virtual-time sampler, sampling the same gauges so sim and
-// live timelines are directly comparable. Rows are stamped with virtual
-// time, like the simulator's; unlike the simulator's, tick alignment is
-// best-effort (the ticker drifts with the host scheduler). The returned
-// stop function halts sampling; call it before Close.
-func (n *Net) AttachTimeline(col *timeline.Collector) (stop func()) {
-	met := func(i int) *metrics.Proc { return n.Metrics(ids.ProcID(i)) }
-	col.Bind(timeline.Probes{
-		Proc: func(i int) timeline.ProcGauges {
-			ln := n.node(ids.ProcID(i))
-			if ln == nil {
-				return timeline.ProcGauges{Phase: timeline.PhaseDown}
-			}
-			ln.mu.Lock()
-			defer ln.mu.Unlock()
-			g := timeline.ProcGauges{Phase: timeline.PhaseDown, StableBytes: ln.stable.Bytes()}
-			if !ln.up {
-				return g
-			}
-			g.Phase = timeline.PhaseLive
-			// The runtime is protocol-agnostic, so protocol gauges come from
-			// optional introspection interfaces (fbl.Process has all three).
-			if b, ok := ln.proc.(interface{ Blocked() bool }); ok && b.Blocked() {
-				g.Phase = timeline.PhaseBlocked
-			}
-			if j, ok := ln.proc.(interface{ DetLogLen() int }); ok {
-				g.Journal = j.DetLogLen()
-			}
-			if j, ok := ln.proc.(interface{ DetPending() int }); ok {
-				g.Lag = j.DetPending()
-			}
-			return g
-		},
-		Metrics: met,
-		Markers: func() []timeline.Marker {
-			return timeline.RecoveryMarkers(n.nApp, met)
-		},
-	})
-	ticker := time.NewTicker(n.scale(col.Interval()))
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				col.Tick(n.vnow())
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			ticker.Stop()
-			close(done)
-		})
-	}
-}
-
-func (n *Net) tracef(format string, args ...any) {
-	if n.cfg.Trace == nil {
-		return
-	}
-	n.traceM.Lock()
-	defer n.traceM.Unlock()
-	fmt.Fprintf(n.cfg.Trace, "[%12s] ", time.Duration(n.vnow()))
-	fmt.Fprintf(n.cfg.Trace, format, args...)
-	fmt.Fprintln(n.cfg.Trace)
-}
-
 // lnode implements node.Env for one goroutine-backed node.
 type lnode struct {
 	net     *Net
@@ -309,12 +230,6 @@ func (ln *lnode) Now() int64             { return ln.net.vnow() }
 func (ln *lnode) Rand() *rand.Rand       { return ln.rng }
 func (ln *lnode) Metrics() *metrics.Proc { return ln.met }
 func (ln *lnode) Tracer() trace.Tracer   { return ln.net.tr }
-
-func (ln *lnode) Logf(format string, args ...any) {
-	if ln.net.cfg.Trace != nil {
-		ln.net.tracef("%v: %s", ln.id, fmt.Sprintf(format, args...))
-	}
-}
 
 // Busy models CPU consumption by sleeping while holding the node lock.
 func (ln *lnode) Busy(d time.Duration) {

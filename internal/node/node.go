@@ -51,8 +51,6 @@ type Env interface {
 	WriteStable(key string, data []byte, cb func())
 	// Rand returns this process's deterministic random stream.
 	Rand() *rand.Rand
-	// Logf emits a trace line if tracing is enabled.
-	Logf(format string, args ...any)
 	// Metrics returns this process's statistics accumulator.
 	Metrics() *metrics.Proc
 	// Tracer returns the event tracer; never nil (trace.Nop when tracing

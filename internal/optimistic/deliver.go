@@ -118,9 +118,6 @@ var _ workload.Ctx = appCtx{}
 func (c appCtx) Self() ids.ProcID { return c.p.env.ID() }
 func (c appCtx) N() int           { return c.p.n }
 func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
-func (c appCtx) Logf(format string, args ...any) {
-	c.p.env.Logf(format, args...)
-}
 
 // Send transmits an application payload with the dependency vector
 // piggyback; the copy kept in the volatile buffer serves retransmissions.
@@ -303,8 +300,6 @@ func (p *Process) onRetract(e *wire.Envelope) {
 	if p.par.Hooks.OnOrphan != nil {
 		p.par.Hooks.OnOrphan(p.env.ID(), victim, lost)
 	}
-	p.env.Logf("optimistic: orphaned by %v (frontier %d): rolling back %d deliveries",
-		victim, frontier, lost)
 	p.rolling = true
 	p.epoch++
 	p.epochVec[p.env.ID()] = p.epoch

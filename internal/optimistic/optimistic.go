@@ -298,7 +298,6 @@ func (p *Process) finishRollback() {
 	if p.par.Hooks.OnRecovered != nil {
 		p.par.Hooks.OnRecovered(p.env.ID(), p.epoch, p.selfIndex())
 	}
-	p.env.Logf("optimistic: recovered to interval %d (epoch %d)", p.selfIndex(), p.epoch)
 	p.rolling = false
 	// Recovery complete: the replayed (durable) prefix's outputs commit now.
 	p.checkOutputs()

@@ -263,7 +263,6 @@ func (m *Manager) OnSuspect(q ids.ProcID) {
 			// after restart — before re-running the depinfo phase; this
 			// wait (detection + restore of the second victim) is what
 			// dominates the paper's second experiment.
-			m.env.Logf("recovery: live %v failed mid-gather, restarting", q)
 			m.learn(q, ids.Ordinal{}, 0, true)
 			m.lead()
 			return
@@ -278,7 +277,6 @@ func (m *Manager) OnSuspect(q ids.ProcID) {
 		// "the next process in ordinal number becomes a recovery leader").
 		wasLeader := m.minUnserved() == q
 		if m.resetReCrashed(q) && wasLeader {
-			m.env.Logf("recovery: leader %v suspected, taking over", q)
 			m.evaluate()
 		}
 	case StateLive:

@@ -272,7 +272,6 @@ func (m *Manager) evaluate() {
 	case min == m.self && m.state != StateLeading:
 		m.lead()
 	case min != m.self && m.state == StateLeading:
-		m.env.Logf("recovery: demoting, %v has a lower ordinal", min)
 		m.abortGather()
 		m.state = StateWaiting
 	}
@@ -385,7 +384,6 @@ func (m *Manager) lead() {
 		}
 	}
 	m.incVec.Bump(m.self, m.reg[m.self].inc)
-	m.env.Logf("recovery: leading round %d, ord %v", m.round, m.myOrd)
 	m.maybeStartDepPhase()
 }
 
@@ -476,7 +474,6 @@ func (m *Manager) maybeFinish() {
 	}
 	data := m.gathered.All()
 	vec := m.incVec.Slice()
-	m.env.Logf("recovery: gather complete, %d determinants", len(data))
 	for _, p := range m.regProcs() {
 		r := m.reg[p]
 		if p == m.self || !r.active || r.served {

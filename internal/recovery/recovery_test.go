@@ -56,7 +56,6 @@ func (f *fakeEnv) Busy(time.Duration)                         {}
 func (f *fakeEnv) ReadStable(k string, cb func([]byte, bool)) { cb(nil, false) }
 func (f *fakeEnv) WriteStable(k string, d []byte, cb func())  { cb() }
 func (f *fakeEnv) Rand() *rand.Rand                           { return f.rng }
-func (f *fakeEnv) Logf(string, ...any)                        {}
 func (f *fakeEnv) Metrics() *metrics.Proc                     { return f.met }
 func (f *fakeEnv) Tracer() trace.Tracer                       { return trace.Nop{} }
 

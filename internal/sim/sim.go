@@ -23,7 +23,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -42,8 +41,6 @@ type Config struct {
 	Seed int64
 	// HW is the hardware cost model.
 	HW node.Hardware
-	// Trace, if non-nil, receives human-readable event lines.
-	Trace io.Writer
 	// Tracer, if non-nil, records structured events and spans (crash /
 	// restart, frame traffic, storage accesses) for timeline export. Nil
 	// disables tracing at no measurable cost.
@@ -668,7 +665,6 @@ func (k *Kernel) Crash(id ids.ProcID) {
 		panic("sim: the stable-storage pseudo-process never fails (paper §3.3)")
 	}
 	k.crashApplied++
-	k.tracef("%v CRASH", id)
 	k.tr.Instant(k.now, int32(id), trace.EvCrash, trace.Tag{})
 	ns.downSpan = k.tr.Begin(k.now, int32(id), trace.EvDown, trace.Tag{})
 	ns.up = false
@@ -695,7 +691,6 @@ func (k *Kernel) restart(ns *nodeState) {
 	if ns.up {
 		return
 	}
-	k.tracef("%v RESTART", ns.id)
 	k.tr.End(ns.downSpan, k.now)
 	ns.downSpan = 0
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRestart, trace.Tag{})
@@ -705,14 +700,6 @@ func (k *Kernel) restart(ns *nodeState) {
 		tr.RestartedAt = k.now
 	}
 	ns.proc.Boot(ns, true)
-}
-
-func (k *Kernel) tracef(format string, args ...any) {
-	if k.cfg.Trace != nil {
-		fmt.Fprintf(k.cfg.Trace, "[%12s] ", time.Duration(k.now))
-		fmt.Fprintf(k.cfg.Trace, format, args...)
-		fmt.Fprintln(k.cfg.Trace)
-	}
 }
 
 // defItem is one entry of the FIFO busy-deferral queue: either a deferred
@@ -762,12 +749,6 @@ func (ns *nodeState) Now() int64             { return ns.k.now }
 func (ns *nodeState) Rand() *rand.Rand       { return ns.rng }
 func (ns *nodeState) Metrics() *metrics.Proc { return ns.met }
 func (ns *nodeState) Tracer() trace.Tracer   { return ns.k.tr }
-
-func (ns *nodeState) Logf(format string, args ...any) {
-	if ns.k.cfg.Trace != nil {
-		ns.k.tracef("%v: %s", ns.id, fmt.Sprintf(format, args...))
-	}
-}
 
 // Busy charges CPU time: deliveries and timers that arrive while the
 // process is busy are deferred until it is free.
@@ -840,7 +821,6 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 	}
 	ns.Busy(k.cfg.HW.RecvCost(len(frame)))
 	ns.met.Received(uint8(e.Kind), len(frame))
-	k.tracef("%v <- %v %v", ns.id, e.From, e.Kind)
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRecv,
 		trace.Tag{Kind: uint8(e.Kind), Arg: int64(len(frame))})
 	ns.proc.Deliver(e)

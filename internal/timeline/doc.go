@@ -8,9 +8,7 @@
 // A sampler owned by the hosting runtime calls Tick at each boundary — the
 // simulator fires it from inside the event loop at exact virtual-time
 // boundaries without enqueueing events (sim.Kernel.SetSampler), so enabling
-// sampling perturbs neither the event sequence nor the golden trace hash;
-// the livenet runtime drives the same Collector from a wall-clock ticker,
-// making sim and live timelines directly comparable.
+// sampling perturbs neither the event sequence nor the golden trace hash.
 //
 // Sampled series per tick: event-queue depth and in-flight frames (kernel
 // gauges), per-process phase (live/blocked/restoring/recovering/replaying/
@@ -29,8 +27,8 @@
 // any app exposing InflightReqs) and a per-tier tumbling-window
 // output-commit distribution, so a backend crash is visible as the client
 // tier's release stall while the backend tier's own window runs dry.
-// Untiered runs omit the new fields entirely — their JSON and CSV stay
-// byte-identical to the v1 form, and Decode still accepts v1 files.
+// Untiered runs omit the new fields entirely, so their JSON and CSV rows
+// carry only the untiered series; Decode accepts schema v2 files only.
 //
 // Export is schema-versioned, byte-deterministic JSON/CSV in the same
 // discipline as BENCH snapshots; crash and recovery-phase boundaries are

@@ -13,12 +13,11 @@ import (
 )
 
 // SchemaVersion identifies the export layout. Bump it on any change to the
-// tick row schema or to the meaning of a series; Decode refuses exports
-// newer than this binary (same discipline as bench snapshots).
+// tick row schema or to the meaning of a series; Decode accepts only this
+// version.
 //
 // v2 added the optional per-tier series for the traffic workload
-// (meta.tiers, inflight_req, tier_output). Untiered v2 exports are
-// field-for-field identical to v1, and Decode still accepts v1 files.
+// (meta.tiers, inflight_req, tier_output).
 const SchemaVersion = 2
 
 // Marker kinds: the crash and recovery-phase boundaries annotated on the
@@ -148,15 +147,16 @@ func (e *Export) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode reads an export, rejecting schemas newer than this binary.
+// Decode reads an export, rejecting any schema but SchemaVersion.
 func Decode(r io.Reader) (*Export, error) {
 	var e Export
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
 		return nil, fmt.Errorf("timeline: malformed export: %w", err)
 	}
 	switch {
-	case e.Meta.Schema < 1:
-		return nil, fmt.Errorf("timeline: export schema %d invalid (earliest is 1)", e.Meta.Schema)
+	case e.Meta.Schema < SchemaVersion:
+		return nil, fmt.Errorf("timeline: export schema %d predates this binary's %d; regenerate",
+			e.Meta.Schema, SchemaVersion)
 	case e.Meta.Schema > SchemaVersion:
 		return nil, fmt.Errorf("timeline: export schema %d is newer than this binary's %d; rebuild or regenerate",
 			e.Meta.Schema, SchemaVersion)

@@ -107,9 +107,9 @@ type Config struct {
 // few hundred rows.
 const DefaultInterval = 100 * time.Millisecond
 
-// Collector accumulates tick rows. It is safe for concurrent use (the
-// livenet sampler ticks from its own goroutine); the simulator's
-// single-threaded ticks pay one uncontended lock each.
+// Collector accumulates tick rows. It is safe for concurrent use, so a
+// caller may read the export while another goroutine ticks; the
+// simulator's single-threaded ticks pay one uncontended lock each.
 type Collector struct {
 	cfg Config
 

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,13 +102,14 @@ func TestDecodeSchemaGate(t *testing.T) {
 	if _, err := Decode(strings.NewReader(newer)); err == nil {
 		t.Error("Decode accepted a schema-99 export")
 	}
-	zero := strings.Replace(newer, "99", "0", 1)
-	if _, err := Decode(strings.NewReader(zero)); err == nil {
-		t.Error("Decode accepted a schema-0 export")
+	for _, old := range []string{"0", "1"} {
+		if _, err := Decode(strings.NewReader(strings.Replace(newer, "99", old, 1))); err == nil {
+			t.Errorf("Decode accepted a schema-%s export", old)
+		}
 	}
-	ok := strings.Replace(newer, "99", "1", 1)
+	ok := strings.Replace(newer, "99", strconv.Itoa(SchemaVersion), 1)
 	if _, err := Decode(strings.NewReader(ok)); err != nil {
-		t.Errorf("Decode rejected a schema-1 export: %v", err)
+		t.Errorf("Decode rejected a schema-%d export: %v", SchemaVersion, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -65,6 +66,34 @@ func WriteSummary(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
+}
+
+// WriteText renders events one per line in recording order:
+// "[virtual time] proc name", then the span duration ("open" for a span
+// still running) and the non-zero tag fields, with kindName naming wire
+// kinds. This is the event-log view of a recorded run.
+func WriteText(w io.Writer, events []Event, kindName func(kind uint8) string) error {
+	bw := bufio.NewWriter(w)
+	for _, e := range events {
+		fmt.Fprintf(bw, "[%12s] %s %s", time.Duration(e.TS), defaultProcLabel(e.Proc), e.Name)
+		switch {
+		case e.Open:
+			bw.WriteString(" open")
+		case e.Span:
+			fmt.Fprintf(bw, " dur=%s", time.Duration(e.Dur))
+		}
+		if e.Tag.Kind != 0 {
+			fmt.Fprintf(bw, " kind=%s", kindName(e.Tag.Kind))
+		}
+		if e.Tag.Inc != 0 {
+			fmt.Fprintf(bw, " inc=%d", e.Tag.Inc)
+		}
+		if e.Tag.Arg != 0 {
+			fmt.Fprintf(bw, " arg=%d", e.Tag.Arg)
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
 }
 
 // fmtDur renders durations compactly for the summary table.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -288,6 +289,27 @@ func TestSummarize(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestWriteText(t *testing.T) {
+	r := NewRecorder(64)
+	r.Instant(int64(6*time.Second), 1, EvCrash, Tag{})
+	r.Begin(int64(6*time.Second), 1, EvDown, Tag{}) // open: no duration
+	r.Span(int64(7*time.Second), int64(2*time.Millisecond), 2, EvGather, Tag{Inc: 3, Arg: 1})
+	r.Instant(int64(8*time.Second), -1, EvRecv, Tag{Kind: 4, Arg: 64})
+
+	want := `[          6s] p1 crash
+[          6s] p1 down open
+[          7s] p2 gather dur=2ms inc=3 arg=1
+[          8s] p[stable] recv kind=k4 arg=64
+`
+	var buf bytes.Buffer
+	if err := WriteText(&buf, r.Events(), func(k uint8) string { return "k" + strconv.Itoa(int(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", got, want)
 	}
 }
 

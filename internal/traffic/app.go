@@ -102,8 +102,8 @@ func (a *app) Reseed(runSeed int64) {
 func (a *app) Start(workload.Ctx) {}
 
 // Handle dispatches one frame by kind. Frames of the wrong kind for this
-// process's tier (or malformed frames) are dropped with a trace line —
-// they indicate a harness bug, not an app state.
+// process's tier (or malformed frames) are dropped — they indicate a
+// harness bug, not an app state.
 func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 	r := wire.NewReader(payload)
 	kind := r.U8()
@@ -112,7 +112,6 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 	case kind == frameArrival && tier == workload.TierClient:
 		seq, body := r.U64(), r.U64()
 		if !r.Done() {
-			ctx.Logf("traffic: bad arrival frame")
 			return
 		}
 		a.onArrival(ctx, seq, body)
@@ -120,7 +119,6 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 		seq, body := r.U64(), r.U64()
 		r.Bytes() // pad
 		if !r.Done() {
-			ctx.Logf("traffic: bad request frame")
 			return
 		}
 		a.onRequest(ctx, from, seq, body)
@@ -131,7 +129,6 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 		body := r.U64()
 		r.Bytes() // pad
 		if !r.Done() {
-			ctx.Logf("traffic: bad shard request frame")
 			return
 		}
 		a.onShardReq(ctx, from, seq, client, shard, body)
@@ -141,19 +138,15 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) {
 		shard := r.U32()
 		digest := r.U64()
 		if !r.Done() {
-			ctx.Logf("traffic: bad shard reply frame")
 			return
 		}
 		a.onShardRep(ctx, seq, client, shard, digest)
 	case kind == frameReply && tier == workload.TierClient:
 		seq, digest := r.U64(), r.U64()
 		if !r.Done() {
-			ctx.Logf("traffic: bad reply frame")
 			return
 		}
 		a.onReply(ctx, seq, digest)
-	default:
-		ctx.Logf("traffic: %s got unexpected frame kind %d from %d", tier, kind, from)
 	}
 }
 

@@ -23,12 +23,9 @@ import (
 //	     dense-u16, chosen adaptively by encoded size) plus the CPDseq and
 //	     Members envelope fields. Sets spanning at most four words keep the
 //	     exact v1 byte layout, so every frame a pre-v2 build could emit at
-//	     n <= 256 is unchanged. Decode still accepts v1 frames (old golden
-//	     traces remain readable); Encode always emits v2.
-const (
-	codecVersion     = 2
-	minDecodeVersion = 1
-)
+//	     n <= 256 is unchanged apart from the version byte. Encode emits v2
+//	     and Decode accepts only v2.
+const codecVersion = 2
 
 // maxListLen bounds every decoded list length to catch corrupted frames
 // before they trigger huge allocations. Encode enforces the same bound, so
@@ -451,10 +448,7 @@ func readHolderWords(r *Reader, nw int) bitset.Set {
 	return bitset.FromWords(words)
 }
 
-func decodeHolders(r *Reader, version uint8) bitset.Set {
-	if version < 2 {
-		return readHolderWords(r, int(r.U8()))
-	}
+func decodeHolders(r *Reader) bitset.Set {
 	tag := r.U8()
 	switch {
 	case tag <= holderTagDenseU8Max:
@@ -525,23 +519,22 @@ func decodeHolders(r *Reader, version uint8) bitset.Set {
 	}
 }
 
-func decodeEntry(r *Reader, version uint8) det.Entry {
+func decodeEntry(r *Reader) det.Entry {
 	var e det.Entry
 	e.Det.Msg.Sender = ids.ProcID(r.I32())
 	e.Det.Msg.SSN = ids.SSN(r.U64())
 	e.Det.Receiver = ids.ProcID(r.I32())
 	e.Det.RSN = ids.RSN(r.U64())
-	e.Holders = decodeHolders(r, version)
+	e.Holders = decodeHolders(r)
 	return e
 }
 
-// Decode parses a frame produced by Encode. Frames from every codec
-// version back to minDecodeVersion are accepted, so traces recorded before
-// a version bump remain readable.
+// Decode parses a frame produced by Encode; frames of any other codec
+// version are rejected with ErrBadVersion.
 func Decode(frame []byte) (*Envelope, error) {
 	r := &Reader{buf: frame}
 	v := r.U8()
-	if r.err == nil && (v < minDecodeVersion || v > codecVersion) {
+	if r.err == nil && v != codecVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	kind := Kind(r.U8())
@@ -567,7 +560,7 @@ func Decode(frame []byte) (*Envelope, error) {
 		if r.err == nil && n > 0 {
 			e.Dets = make([]det.Entry, 0, min(n, 4096))
 			for i := 0; i < n && r.err == nil; i++ {
-				e.Dets = append(e.Dets, decodeEntry(r, v))
+				e.Dets = append(e.Dets, decodeEntry(r))
 			}
 		}
 	}

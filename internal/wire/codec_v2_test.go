@@ -167,25 +167,17 @@ func TestDecodeRejectsBadHolders(t *testing.T) {
 	})
 }
 
-// TestV1FramesStillDecode pins backward compatibility across the version
-// bump: for holder sets of at most four words the v2 byte layout is
-// identical to v1 by construction, so rewriting the version byte of a v2
-// frame yields exactly the frame a v1 encoder would have produced — and
-// the decoder must accept it.
-func TestV1FramesStillDecode(t *testing.T) {
+// TestDecodeRejectsOtherVersions: Decode accepts only the current codec
+// version; a v1 frame (or a future one) fails with ErrBadVersion.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
 	for _, e := range sampleEnvelopes() {
-		if e.CPDseq != 0 || len(e.Members) > 0 {
-			continue // fields that postdate v1
-		}
 		frame := Encode(e)
-		v1 := append([]byte(nil), frame...)
-		v1[0] = 1
-		got, err := Decode(v1)
-		if err != nil {
-			t.Fatalf("%v: v1 decode: %v", e.Kind, err)
-		}
-		if !equalEnvelopes(e, got) {
-			t.Fatalf("%v: v1 round trip mismatch:\n in: %+v\nout: %+v", e.Kind, e, got)
+		for _, v := range []byte{1, codecVersion + 1} {
+			bad := append([]byte(nil), frame...)
+			bad[0] = v
+			if _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("%v: version %d decoded with err %v, want ErrBadVersion", e.Kind, v, err)
+			}
 		}
 	}
 }
@@ -206,8 +198,8 @@ func TestV2KeepsSmallFrameBytes(t *testing.T) {
 		if frame[0] != codecVersion {
 			t.Fatalf("version byte = %d, want %d", frame[0], codecVersion)
 		}
-		// The layout rule: re-decoding as v1 must reconstruct the same
-		// envelope (checked above); here we additionally pin the size.
+		// Small holder sets take the dense-u8 tag, whose bytes are the v1
+		// layout; the size pin catches any drift from it.
 		if len(frame) != Size(e) {
 			t.Fatalf("%v: Size = %d, frame = %d", e.Kind, Size(e), len(frame))
 		}

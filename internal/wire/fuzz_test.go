@@ -60,14 +60,14 @@ func TestDecodeHolderAmplificationGuards(t *testing.T) {
 //     reject a frame the decoder considered well-formed), and Size agrees
 //     with the encoder byte-for-byte.
 //  3. Re-encoding then decoding is semantically lossless. Byte-identity is
-//     NOT required: Decode accepts v1 frames and presence bits the encoder
-//     would normalize away, but the envelope's meaning must survive the
-//     round trip.
+//     NOT required: Decode accepts presence bits the encoder would
+//     normalize away, but the envelope's meaning must survive the round
+//     trip.
 //
 // The seed corpus covers every envelope kind via the codec tests' sample
-// envelopes, both as emitted (v2) and with the version byte rewritten to 1
-// (small holder sets keep the v1 layout, so many of these are exactly what
-// a v1 encoder produced), plus a few degenerate frames.
+// envelopes, both as emitted (v2) and with the version byte rewritten to
+// 1, which Decode must reject with ErrBadVersion, plus a few degenerate
+// frames.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, e := range sampleEnvelopes() {
 		frame := Encode(e)

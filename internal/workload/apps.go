@@ -63,7 +63,6 @@ func (t *TokenRing) Handle(ctx Ctx, from ids.ProcID, payload []byte) {
 	acc := r.U64()
 	r.Bytes()
 	if r.Err() != nil {
-		ctx.Logf("token-ring: bad payload from %v: %v", from, r.Err())
 		return
 	}
 	if t.WorkPerMsg > 0 {
@@ -188,7 +187,6 @@ func (g *RandomPeer) Handle(ctx Ctx, from ids.ProcID, payload []byte) {
 	body := r.U64()
 	r.Bytes()
 	if r.Err() != nil {
-		ctx.Logf("random-peer: bad payload from %v: %v", from, r.Err())
 		return
 	}
 	if g.WorkPerMsg > 0 {
@@ -289,7 +287,6 @@ func (c *ClientServer) Handle(ctx Ctx, from ids.ProcID, payload []byte) {
 	body := r.U64()
 	r.Bytes()
 	if r.Err() != nil {
-		ctx.Logf("client-server: bad payload from %v: %v", from, r.Err())
 		return
 	}
 	if c.WorkPerMsg > 0 {

@@ -65,7 +65,6 @@ func (f *Figure1) Handle(ctx Ctx, from ids.ProcID, payload []byte) {
 	round := r.U64()
 	acc := r.U64()
 	if r.Err() != nil {
-		ctx.Logf("figure1: bad payload: %v", r.Err())
 		return
 	}
 	f.seen++

@@ -34,8 +34,6 @@ type Ctx interface {
 	// logging). The payload is not transmitted anywhere; hosts without an
 	// output ledger treat this as a no-op.
 	Output(payload []byte)
-	// Logf emits a trace line if tracing is enabled.
-	Logf(format string, args ...any)
 }
 
 // App is a deterministic message-driven application.

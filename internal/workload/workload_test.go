@@ -25,9 +25,8 @@ func (f *fakeCtx) N() int           { return f.n }
 func (f *fakeCtx) Send(to ids.ProcID, payload []byte) {
 	f.sends = append(f.sends, sendRec{to, string(payload)})
 }
-func (f *fakeCtx) Work(d int64)        { f.work += d }
-func (f *fakeCtx) Output([]byte)       {}
-func (f *fakeCtx) Logf(string, ...any) {}
+func (f *fakeCtx) Work(d int64)  { f.work += d }
+func (f *fakeCtx) Output([]byte) {}
 
 func TestPRNGDeterministicAndSerializable(t *testing.T) {
 	a := NewPRNG(7)

@@ -161,6 +161,8 @@ var (
 	D8  = experiments.D8  // analytical cost model vs simulation
 	D9  = experiments.D9  // message logging vs coordinated checkpointing
 	D10 = experiments.D10 // orphans: FBL vs optimistic logging
+	D11 = experiments.D11 // output-commit latency across styles
+	D12 = experiments.D12 // open-loop traffic: offered load x style x crash
 )
 
 // AllExperiments runs the full evaluation suite, stopping early when ctx

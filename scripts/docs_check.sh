@@ -10,7 +10,7 @@
 # Checks:
 #   1. `make <target>` mentioned in docs  → target exists in Makefile
 #   2. `-flag` on a cmd/<tool> invocation → tool declares the flag
-#   3. `-only <IDs>` for cmd/experiments  → id is in the registry
+#   3. `-only <IDs>` for cmd/experiments  → id is in experiments.Index
 #   4. -families/-styles values for cmd/explore → name is in the registry
 #
 # Exit: 0 clean, 1 findings. Best-effort by design — it only sees
@@ -51,10 +51,10 @@ while read -r line; do
 done < <(joined $DOCS | grep -E 'cmd/[a-z]+ .*-[a-z]' | grep -vE '^\s*(//|#)')
 
 # 3. experiment ids passed to cmd/experiments -only.
-registry_ids=$(grep -oE '\{"[ED][0-9]+"' cmd/experiments/main.go | tr -d '{"')
+registry_ids=$(grep -oE '\{"[ED][0-9]+"' internal/experiments/index.go | tr -d '{"')
 for id in $(joined $DOCS | grep -oE '\-only [ED][0-9]+(,[ED][0-9]+)*' | sed 's/-only //' | tr ',' '\n' | sort -u); do
   if ! grep -qx "$id" <<<"$registry_ids"; then
-    echo "docs_check: experiment id '$id' referenced in docs but absent from the cmd/experiments registry" >&2
+    echo "docs_check: experiment id '$id' referenced in docs but absent from experiments.Index (internal/experiments/index.go)" >&2
     fail=1
   fi
 done
