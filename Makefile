@@ -34,10 +34,11 @@ fmt:
 	@out=$$(gofmt -l . | grep -v '^internal/analysis/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The livenet runtime records trace events from many goroutines; the race
-# target exercises every package under the race detector. -short skips the
-# n=1024 cells (hours under race); the sharded scheduler's window barrier
-# is still raced by TestShardedGoldenTraceHash, which has no Short guard.
+# The sharded scheduler's shard goroutines share the trace recorder; the
+# race target exercises every package under the race detector. -short skips
+# the n=1024 cells (hours under race); the sharded scheduler's window
+# barrier is still raced by TestShardedGoldenTraceHash, which has no Short
+# guard.
 race:
 	$(GO) test -race -short ./...
 

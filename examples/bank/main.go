@@ -1,80 +1,72 @@
-// Bank runs a replicated-ledger scenario on the goroutine runtime: process
-// 0 is a bank server applying transfer requests from four client
-// processes, all hosted by the FBL protocol on real concurrent goroutines
-// (not the simulator). We crash the server mid-stream; message logging
-// plus deterministic replay reconstruct its ledger exactly — no transfer
-// is lost or applied twice — while the clients keep submitting.
+// Bank runs a replicated-ledger scenario on the simulator: process 0 is a
+// bank server applying transfer requests from four client processes, all
+// hosted by the FBL protocol. We crash the server mid-stream; message
+// logging plus deterministic replay reconstruct its ledger exactly — no
+// transfer is lost or applied twice — while the clients keep submitting.
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"rollrec"
 )
 
 func main() {
-	const n = 5
-	hw := rollrec.Profile1995()
-	// Scale the model 50x faster than real time so the demo runs in a few
-	// wall-clock seconds.
-	net := rollrec.NewLiveNet(rollrec.LiveConfig{HW: hw, TimeScale: 0.02, Seed: 3})
-
-	par := rollrec.ProtocolParams{
-		N:               n,
+	c := rollrec.NewCluster(rollrec.Config{
+		N:               5,
 		F:               2,
-		App:             rollrec.ClientServer(1_000_000, 128, int64(2*time.Millisecond)),
+		Seed:            3,
 		Style:           rollrec.NonBlocking,
-		CheckpointEvery: 4 * time.Second,
+		App:             rollrec.ClientServer(1_000_000, 128, int64(2*time.Millisecond)),
+		CheckpointEvery: rollrec.DefaultCheckpointEvery,
 		StatePad:        256 << 10,
-		HeartbeatEvery:  hw.HeartbeatEvery,
-		SuspectAfter:    hw.SuspectAfter,
-	}
-	for i := 0; i < n; i++ {
-		rollrec.AddProtocol(net, rollrec.ProcID(i), par)
-	}
-	net.Boot()
-	fmt.Println("bank running on goroutines: 4 clients stream transfers to the server (p0)")
+	})
+	fmt.Println("bank running: 4 clients stream transfers to the server (p0)")
 
-	//rollvet:allow simtime -- wall-clock demo driving the real-time livenet runtime, not sim code
-	time.Sleep(400 * time.Millisecond) // ≈20 virtual seconds of traffic
-	before := applied(net)
+	const crashAt = 20 * time.Second
+	c.Run(crashAt)
+	before := applied(c)
 	fmt.Printf("server has applied %d transfers — crashing it now\n", before)
-	net.Crash(0)
+	c.Crash(crashAt, 0)
 
-	// Wait for the server to recover and make further progress.
-	deadline := time.Now().Add(30 * time.Second) //rollvet:allow simtime -- wall-clock wait on the livenet runtime
+	// Run until the server has recovered and applied transfers past the
+	// ones it held when it crashed.
 	var after uint64
-	//rollvet:allow simtime -- wall-clock polling of the livenet runtime
-	for time.Now().Before(deadline) {
-		//rollvet:allow simtime -- wall-clock polling of the livenet runtime
-		time.Sleep(100 * time.Millisecond)
-		if a := applied(net); a > before {
-			after = a
-			break
+	for t := crashAt + time.Second; t <= 2*time.Minute; t += time.Second {
+		c.Run(t)
+		if tr := c.Metrics(0).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
+			if a := applied(c); a > before {
+				after = a
+				break
+			}
 		}
 	}
-	tr := net.Metrics(0).CurrentRecovery()
-	net.Close()
-
 	if after == 0 {
 		fmt.Println("server never resumed — recovery failed")
-		return
+		os.Exit(1)
 	}
+	tr := c.Metrics(0).CurrentRecovery()
 	fmt.Printf("server recovered (crash → live in %v of modeled time) and kept going: %d transfers applied\n",
 		time.Duration(tr.ReplayedAt-tr.CrashedAt).Round(time.Millisecond), after)
+	if errs := c.Check(); len(errs) != 0 {
+		fmt.Println("invariants violated:")
+		for _, err := range errs {
+			fmt.Println(" ", err)
+		}
+		os.Exit(1)
+	}
 	fmt.Println("the ledger was rebuilt from the clients' volatile message logs: nothing lost, nothing doubled")
 }
 
-func applied(net *rollrec.LiveNet) uint64 {
-	var out uint64
-	rollrec.InspectProtocol(net, 0, func(p *rollrec.Process) {
-		if p == nil {
-			return
-		}
+// applied is the number of transfers the server's ledger holds (0 while
+// the server is down).
+func applied(c *rollrec.Cluster) uint64 {
+	if p := c.Proc(0); p != nil {
 		if cs, ok := p.App().(interface{ Applied() uint64 }); ok {
-			out = cs.Applied()
+			return cs.Applied()
 		}
-	})
-	return out
+	}
+	return 0
 }

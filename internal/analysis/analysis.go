@@ -11,14 +11,13 @@
 //
 // Checks:
 //
-//   - simtime:   no wall-clock time.Now/Sleep/After/... outside
-//     internal/livenet (sim-driven code must use the virtual clock).
+//   - simtime:   no wall-clock time.Now/Sleep/After/... (sim-driven code
+//     must use the virtual clock).
 //   - detrand:   no global math/rand top-level functions — only seeded
 //     *rand.Rand streams threaded from the simulator configuration.
 //   - maporder:  no map iteration in deterministic packages whose body can
 //     leak the nondeterministic order into protocol-visible state.
-//   - goroutine: no go statements in sim-driven packages — concurrency
-//     belongs to internal/livenet.
+//   - goroutine: no go statements in sim-driven packages.
 //   - wiresync:  the wire.Kind constant table, its kindMax sentinel,
 //     KindCount, and the String() name table stay in lockstep.
 //   - poolescape: a pointer into a //rollvet:pooled arena (the sim kernel's

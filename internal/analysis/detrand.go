@@ -22,7 +22,7 @@ var detRandAllowed = map[string]bool{
 // DetRand enforces seeded-stream discipline: simulations must be replayable
 // from a Config.Seed, so randomness has to flow through *rand.Rand values
 // constructed with rand.New(rand.NewSource(seed)) and threaded from
-// internal/sim (or internal/livenet's per-node seeds). The global functions
+// internal/sim. The global functions
 // (rand.Intn, rand.Float64, ...) draw from a shared source seeded from
 // entropy and are banned outside test files.
 var DetRand = &Analyzer{

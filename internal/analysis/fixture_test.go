@@ -107,7 +107,6 @@ func runFixture(t *testing.T, rel string) {
 
 func TestSimTimeFixtures(t *testing.T) {
 	runFixture(t, "simtime/clocked")
-	runFixture(t, "simtime/livenet")
 }
 
 func TestDetRandFixtures(t *testing.T) {
@@ -121,7 +120,7 @@ func TestMapOrderFixtures(t *testing.T) {
 
 func TestGoroutineFixtures(t *testing.T) {
 	runFixture(t, "goroutine/sim")
-	runFixture(t, "goroutine/livenet")
+	runFixture(t, "goroutine/plainpkg")
 }
 
 func TestWireSyncFixtures(t *testing.T) {

@@ -22,19 +22,15 @@ var wallClock = map[string]bool{
 
 // SimTime enforces the virtual-clock discipline: the discrete-event
 // simulator owns time (DESIGN S1), so protocol and simulator code must get
-// "now" and timers from node.Env, never from the time package. Only
-// internal/livenet — the wall-clock runtime — may touch the real clock.
-// Test files are exempt by construction (they are never loaded).
+// "now" and timers from node.Env, never from the time package. Test files
+// are exempt by construction (they are never loaded).
 var SimTime = &Analyzer{
 	Name: "simtime",
-	Doc:  "wall-clock time.* calls outside internal/livenet break deterministic replay",
+	Doc:  "wall-clock time.* calls break deterministic replay",
 	Run:  runSimTime,
 }
 
 func runSimTime(pass *Pass) {
-	if pass.Pkg.Name == "livenet" {
-		return
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -50,7 +46,7 @@ func runSimTime(pass *Pass) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"time.%s reads the wall clock outside internal/livenet; sim-driven code must use the virtual clock (node.Env.Now/After)",
+				"time.%s reads the wall clock; sim-driven code must use the virtual clock (node.Env.Now/After)",
 				sel.Sel.Name)
 			return true
 		})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,8 +201,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := Decode(strings.NewReader("{")); err == nil {
 		t.Fatal("truncated JSON accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"meta":{"schema":0}}`)); err == nil {
-		t.Fatal("schema 0 accepted")
+	for _, old := range []int{0, 1, 2} {
+		_, err := Decode(strings.NewReader(fmt.Sprintf(`{"meta":{"schema":%d}}`, old)))
+		if err == nil {
+			t.Fatalf("schema %d accepted", old)
+		}
+		if !strings.Contains(err.Error(), "older than") {
+			t.Fatalf("schema %d error %q does not say the file is older", old, err)
+		}
 	}
 	_, err := Decode(strings.NewReader(`{"meta":{"schema":99}}`))
 	if err == nil {
@@ -209,30 +216,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "newer than") {
 		t.Fatalf("future-schema error %q does not say the file is newer", err)
-	}
-}
-
-// TestV1SeedSnapshotUpgrades feeds the decoder real committed schema-v1
-// bytes (the pre-v2 BENCH_seed.json): they must upgrade in place, and a
-// fresh sweep over the same axes must still agree metric-for-metric at
-// threshold 0 — the schema bump may not move any measured number.
-func TestV1SeedSnapshotUpgrades(t *testing.T) {
-	v1, err := ReadFile(filepath.Join("testdata", "BENCH_seed_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Meta.Schema != SchemaVersion {
-		t.Fatalf("decoded schema %d, want upgraded to %d", v1.Meta.Schema, SchemaVersion)
-	}
-	fresh, err := RunSweep(context.Background(), v1.Axes, Options{Workers: 4, Meta: goldenMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs, _ := Compare(v1, fresh, 0); len(regs) != 0 {
-		t.Fatalf("v1 snapshot vs fresh v2 sweep regressed: %v", regs)
-	}
-	if regs, _ := Compare(fresh, v1, 0); len(regs) != 0 {
-		t.Fatalf("fresh v2 sweep vs v1 snapshot regressed: %v", regs)
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 )
 
 // SchemaVersion identifies the snapshot layout. Bump it on any change to
-// the cell schema or to the meaning of a metric. Decode upgrades older
-// snapshots it can read losslessly (v1 cells are v2 cells whose new fields
-// are zero) and refuses snapshots newer than this binary.
+// the cell schema or to the meaning of a metric. Decode accepts only this
+// version: regenerate older snapshots with the current binary.
 //
 // v2: cells gained output_commit (DESIGN §10) and outputs; merged-seed
 // cells gained params.seeds and across_seeds.
@@ -176,8 +175,7 @@ func (s *Snapshot) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode reads a snapshot, upgrading older schemas it can represent
-// losslessly and rejecting ones newer than this binary.
+// Decode reads a snapshot of schema SchemaVersion, rejecting any other.
 func Decode(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(r)
@@ -185,17 +183,12 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("bench: malformed snapshot: %w", err)
 	}
 	switch {
-	case s.Meta.Schema < 1:
-		return nil, fmt.Errorf("bench: snapshot schema %d invalid (earliest is 1)", s.Meta.Schema)
 	case s.Meta.Schema > SchemaVersion:
 		return nil, fmt.Errorf("bench: snapshot schema %d is newer than this binary's %d; rebuild or regenerate",
 			s.Meta.Schema, SchemaVersion)
-	case s.Meta.Schema < SchemaVersion:
-		// v1 -> v2 -> v3: every field added since (outputs, output_commit,
-		// seeds, across_seeds, loads, offered, shed, client_commit) is
-		// absent in older files and zero-valued here, which is exactly
-		// what an older run measured. Stamp and move on.
-		s.Meta.Schema = SchemaVersion
+	case s.Meta.Schema != SchemaVersion:
+		return nil, fmt.Errorf("bench: snapshot schema %d is older than this binary's %d; regenerate it",
+			s.Meta.Schema, SchemaVersion)
 	}
 	return &s, nil
 }

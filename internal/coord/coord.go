@@ -21,10 +21,6 @@ type Params struct {
 	SnapshotEvery time.Duration
 	// StatePad models the process image size per snapshot.
 	StatePad int
-	// HeartbeatEvery / SuspectAfter drive failure detection (any suspected
-	// peer triggers nothing here — the watchdog restart of the crashed
-	// process is what initiates the rollback).
-	HeartbeatEvery time.Duration
 	// Outputs receives the output-commit lifecycle (nil disables tracking;
 	// Ctx.Output is then a no-op).
 	Outputs output.Sink
@@ -98,9 +94,6 @@ var _ node.Process = (*Process)(nil)
 
 // New returns a node.Factory for coordinated-checkpointing processes.
 func New(par Params) node.Factory {
-	if par.HeartbeatEvery <= 0 {
-		par.HeartbeatEvery = 250 * time.Millisecond
-	}
 	if par.SnapshotEvery <= 0 {
 		par.SnapshotEvery = 2 * time.Second
 	}
@@ -140,21 +133,22 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		if tr := env.Metrics().CurrentRecovery(); tr != nil {
 			tr.RestoredAt = env.Now()
 		}
-		if !ok {
-			// Crashed before any committed snapshot: the whole cluster
-			// restarts from scratch.
-			p.epoch = p.nextEpoch(1)
-			p.persistEpoch()
-			p.broadcastRollback(0, true)
-			p.restartFromScratch()
-			return
+		// With no committed record, or only the epoch record an earlier
+		// restart left behind (snapshot id 0), no snapshot ever committed:
+		// the whole cluster restarts from scratch.
+		id, epoch := uint32(0), uint32(1)
+		if ok {
+			id, epoch = parseCommitted(data)
 		}
-		id, epoch := parseCommitted(data)
 		p.committedID = id
 		p.epoch = p.nextEpoch(epoch)
 		p.persistEpoch()
 		p.broadcastRollback(id, true)
-		p.restoreSnapshot(id)
+		if id == 0 {
+			p.restartFromScratch()
+		} else {
+			p.restoreSnapshot(id)
+		}
 	})
 }
 

@@ -222,18 +222,23 @@ func TestRepeatedCrashes(t *testing.T) {
 // same number, the later broadcast is fenced as stale everywhere, and the
 // channel state the second crash destroyed (the ring token) is never
 // re-created — the cluster stalls forever. The mod-n epoch allocation plus
-// the stale-restarter relay must recover both restart orderings.
+// the stale-restarter relay must recover both restart orderings. A process
+// that crashes again after its first restart, still before any snapshot
+// commits, finds only the epoch record that restart wrote (snapshot id 0)
+// and must restart from scratch again rather than look for snapshot 0.
 func TestOverlappingCrashesBeforeFirstSnapshot(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		first  ids.ProcID
-		second ids.ProcID
+		name     string
+		first    ids.ProcID
+		second   ids.ProcID
+		secondAt time.Duration
 	}{
 		// Low id restarts first: the second restarter's higher residue wins
 		// directly. High id first: the second broadcast arrives stale and
 		// must be relayed by a live peer.
-		{"low-then-high", 0, 1},
-		{"high-then-low", 1, 0},
+		{"low-then-high", 0, 1, 25 * time.Millisecond},
+		{"high-then-low", 1, 0, 25 * time.Millisecond},
+		{"same-twice", 1, 1, 400 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newHarness(t, 3, 7, workload.NewTokenRing(6000, 32, int64(time.Millisecond)))
@@ -241,7 +246,7 @@ func TestOverlappingCrashesBeforeFirstSnapshot(t *testing.T) {
 
 			h := newHarness(t, 3, 7, workload.NewTokenRing(6000, 32, int64(time.Millisecond)))
 			h.k.CrashAt(20*time.Millisecond, tc.first)
-			h.k.CrashAt(25*time.Millisecond, tc.second)
+			h.k.CrashAt(tc.secondAt, tc.second)
 			// Relays make the per-crash rollback count vary; only require
 			// completion and the golden final state.
 			h.crashes = 0

@@ -48,11 +48,6 @@ type Params struct {
 	SuspectAfter   time.Duration
 	// RetryEvery is the recovery-protocol retransmission period.
 	RetryEvery time.Duration
-	// StorageFlushEvery is the determinant streaming period to the storage
-	// pseudo-process (f = n only).
-	StorageFlushEvery time.Duration
-	// SnapshotCPUPerByte charges checkpoint serialization cost.
-	SnapshotCPUPerByte time.Duration
 	// Fanout bounds per-process control traffic for large clusters. 0 (the
 	// default) keeps the paper's all-to-all behavior: heartbeats and
 	// checkpoint notices go to every peer. A positive k switches to a ring
@@ -72,6 +67,10 @@ type Params struct {
 	Hooks Hooks
 }
 
+// storageFlushEvery is the determinant streaming period to the storage
+// pseudo-process (f = n only).
+const storageFlushEvery = 100 * time.Millisecond
+
 // withDefaults fills unset timing parameters.
 func (p Params) withDefaults() Params {
 	if p.HeartbeatEvery <= 0 {
@@ -82,12 +81,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.RetryEvery <= 0 {
 		p.RetryEvery = time.Second
-	}
-	if p.StorageFlushEvery <= 0 {
-		p.StorageFlushEvery = 100 * time.Millisecond
-	}
-	if p.SnapshotCPUPerByte < 0 {
-		p.SnapshotCPUPerByte = 0
 	}
 	return p
 }
@@ -350,9 +343,9 @@ func (p *Process) startTimers() {
 		var flush func()
 		flush = func() {
 			p.flushToStorage()
-			p.env.After(p.par.StorageFlushEvery, flush)
+			p.env.After(storageFlushEvery, flush)
 		}
-		p.env.After(p.par.StorageFlushEvery, flush)
+		p.env.After(storageFlushEvery, flush)
 	}
 }
 

@@ -3,10 +3,8 @@
 // virtual (or real) time, message transmission, timers, stable storage, and
 // metrics.
 //
-// Two runtimes implement Env: the deterministic discrete-event simulator
-// (internal/sim), which all experiments use, and the goroutine-per-process
-// runtime (internal/livenet), which the examples use. Protocol code cannot
-// tell them apart.
+// The deterministic discrete-event simulator (internal/sim) implements Env;
+// tests use small fakes. Protocol code sees nothing but this interface.
 package node
 
 import (

@@ -73,7 +73,7 @@ func Disk1995() Params {
 // Store is a crash-surviving key-value store for one process. It survives
 // crashes because the runtime owns it across process reincarnations; only
 // the process image is volatile. Store is not safe for concurrent use from
-// multiple goroutines; the livenet runtime serializes access.
+// multiple goroutines.
 type Store struct {
 	data map[string][]byte
 }

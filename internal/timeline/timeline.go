@@ -71,8 +71,7 @@ type ProcGauges struct {
 }
 
 // Probes are the read-only callbacks a runtime binds so the collector can
-// observe it. Nil members are legal and read as zero — the livenet runtime,
-// for example, has no event queue to measure.
+// observe it. Nil members are legal and read as zero.
 type Probes struct {
 	// Queue returns the runtime-wide event-queue depth and the number of
 	// frames in flight on the network.

@@ -12,10 +12,8 @@
 //     gathers a consistent depinfo snapshot without blocking live
 //     processes), plus the blocking baseline and a Manetho-mode variant
 //     used by the paper's evaluation.
-//   - Two runtimes for the same protocol code: a deterministic
-//     discrete-event simulator with a parameterized hardware cost model
-//     (1995 workstations or a modern cluster), and a goroutine-per-process
-//     runtime.
+//   - A deterministic discrete-event simulator with a parameterized
+//     hardware cost model (1995 workstations or a modern cluster).
 //   - Deterministic workloads (token ring, random-peer gossip,
 //     client–server, the paper's Figure 1 execution), a crash-injection
 //     and invariant-checking cluster harness, and the full experiment
@@ -49,7 +47,6 @@ import (
 	"rollrec/internal/failure"
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
-	"rollrec/internal/livenet"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/recovery"
@@ -168,40 +165,6 @@ var (
 // AllExperiments runs the full evaluation suite, stopping early when ctx
 // is done.
 func AllExperiments(ctx context.Context, seed int64) []Table { return experiments.All(ctx, seed) }
-
-// LiveNet is the goroutine-per-process runtime; LiveConfig configures it.
-type (
-	LiveNet    = livenet.Net
-	LiveConfig = livenet.Config
-)
-
-// NewLiveNet returns a goroutine-backed runtime for the same protocol code
-// the simulator runs.
-func NewLiveNet(cfg LiveConfig) *LiveNet { return livenet.New(cfg) }
-
-// ProtocolParams configures one FBL protocol process for direct use with a
-// runtime (the cluster harness does this wiring for you).
-type ProtocolParams = fbl.Params
-
-// AddProtocol registers an FBL protocol node on a live runtime.
-func AddProtocol(net *LiveNet, id ProcID, par ProtocolParams) {
-	net.AddNode(id, fbl.New(par))
-}
-
-// AddStorageNode registers the stable-storage pseudo-process required by
-// the f = n instance.
-func AddStorageNode(net *LiveNet, n, f int) {
-	net.AddNode(StorageProc, fbl.NewStorageNode(n, f))
-}
-
-// InspectProtocol runs fn with the protocol instance at id under the
-// node's lock (nil while the node is down).
-func InspectProtocol(net *LiveNet, id ProcID, fn func(p *Process)) {
-	net.Inspect(id, func(np node.Process) {
-		fp, _ := np.(*fbl.Process)
-		fn(fp)
-	})
-}
 
 // Process is the protocol instance type, exposed for state inspection in
 // examples and tests.

@@ -87,40 +87,3 @@ func TestPlanHelpersExposed(t *testing.T) {
 		t.Fatal("Plan.MaxConcurrent not working through the facade")
 	}
 }
-
-// TestLiveNetThroughFacade runs the protocol on the goroutine runtime via
-// the public helpers.
-func TestLiveNetThroughFacade(t *testing.T) {
-	hw := fastHardware()
-	net := NewLiveNet(LiveConfig{HW: hw, Seed: 5})
-	par := ProtocolParams{
-		N:               3,
-		F:               2,
-		App:             TokenRing(50_000, 16, 0),
-		Style:           NonBlocking,
-		CheckpointEvery: 100 * time.Millisecond,
-		HeartbeatEvery:  hw.HeartbeatEvery,
-		SuspectAfter:    hw.SuspectAfter,
-		RetryEvery:      100 * time.Millisecond,
-	}
-	for i := 0; i < 3; i++ {
-		AddProtocol(net, ProcID(i), par)
-	}
-	net.Boot()
-	time.Sleep(200 * time.Millisecond)
-	net.Crash(2)
-	deadline := time.Now().Add(15 * time.Second)
-	recovered := false
-	for time.Now().Before(deadline) && !recovered {
-		InspectProtocol(net, 2, func(p *Process) {
-			if p != nil && p.Incarnation() == 2 && p.Mode().String() == "live" {
-				recovered = true
-			}
-		})
-		time.Sleep(20 * time.Millisecond)
-	}
-	net.Close()
-	if !recovered {
-		t.Fatal("process never recovered on the live runtime via the facade")
-	}
-}
